@@ -1,7 +1,7 @@
 package jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.harness.{Experiments, ExpResult, Taxonomy}
+import repro.harness.{Experiments, ExpResult, SparkMaster, Taxonomy}
 
 /** Shared spark-submit plumbing for the per-figure jobs.
   *
@@ -14,7 +14,7 @@ object JobMain {
   def run(args: Array[String])(body: (SparkSession, Experiments.Config) => Seq[ExpResult]): Unit = {
     val spark = SparkSession.builder
       .appName("sparsification-repro")
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .master(SparkMaster.fromEnv)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)

@@ -2,8 +2,11 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.util.hashing.MurmurHash3
+import repro.metrics.Csr
 
-/** Edge-list graph over a Spark DataFrame.
+/** Edge-list graph: a Spark DataFrame of edges plus the same edges as
+  * driver arrays.
   *
   * Schema of `edges`: (src: Long, dst: Long, weight: Double).
   *
@@ -15,25 +18,94 @@ import org.apache.spark.sql.functions._
   * no edge) — sparsification keeps the vertex set fixed (edge sparsification
   * only, §2.1 of the paper).
   *
-  * @param name stable identity used for driver-side caches (e.g. effective
-  *             resistances, Jaccard scores) — two graphs with the same name
-  *             are assumed identical.
+  * A graph is one fixed value, and its edges reach the driver at most once:
+  *   - built from a DataFrame plan ([[SparkGraph.apply]], the Catalyst
+  *     sparsifiers), it runs that plan once, on the first call to
+  *     `numEdges`, [[GraphOps.collectEdges]] or `Csr.fromGraph`, and keeps
+  *     the rows in the plan's collect order;
+  *   - built from canonical driver arrays ([[SparkGraph.fromCanonical]], the
+  *     driver sparsifiers), it starts no Spark job for them, and creates its
+  *     `edges` DataFrame only when a Catalyst consumer asks for it.
+  * The driver CSR of each view is built from those arrays at most once.
+  *
+  * @param name display name; caches key on [[fingerprint]], not on it
   */
-final case class SparkGraph(
-    name: String,
-    edges: DataFrame,
-    directed: Boolean,
-    weighted: Boolean,
-    numVertices: Long) {
+final class SparkGraph private (
+    val name: String,
+    val spark: SparkSession,
+    source: Either[DataFrame, (Array[Int], Array[Int], Array[Double])],
+    val directed: Boolean,
+    val weighted: Boolean,
+    val numVertices: Long) {
 
-  def spark: SparkSession = edges.sparkSession
+  /** The edge plan, or for an array-built graph a local relation of its
+    * arrays, in array order.
+    */
+  lazy val edges: DataFrame = source.fold(identity, { case (src, dst, wt) =>
+    import spark.implicits._
+    src.indices.map(i => (src(i).toLong, dst(i).toLong, wt(i))).toDF("src", "dst", "weight")
+  })
+
+  /** Canonical edges on the driver (src, dst, weight). Read-only. */
+  private[core] lazy val arrays: (Array[Int], Array[Int], Array[Double]) = source.fold(plan => {
+    require(numVertices <= 2_000_000, s"graph $name too large for driver collection")
+    val rows = plan.select("src", "dst", "weight").collect()
+    val s = new Array[Int](rows.length)
+    val d = new Array[Int](rows.length)
+    val w = new Array[Double](rows.length)
+    var i = 0
+    while (i < rows.length) {
+      val r = rows(i)
+      s(i) = r.getLong(0).toInt; d(i) = r.getLong(1).toInt; w(i) = r.getDouble(2)
+      i += 1
+    }
+    (s, d, w)
+  }, identity)
+
+  private lazy val bothCsr = Csr.fromArrays(numVertices.toInt, arrays._1, arrays._2, arrays._3, bothDirections = true)
+  private lazy val outCsr = Csr.fromArrays(numVertices.toInt, arrays._1, arrays._2, arrays._3, bothDirections = false)
+
+  /** The graph's driver CSR: every edge in both directions, or out-arcs only. */
+  private[repro] def csr(bothDirections: Boolean): Csr = if (bothDirections) bothCsr else outCsr
 
   /** Number of (canonical) edges. */
-  def numEdges: Long = edges.count()
+  def numEdges: Long = arrays._1.length
+
+  /** Content identity: two graphs with equal fingerprints have the same
+    * vertex count, direction and edge arrays (up to hash collisions).
+    */
+  private[repro] lazy val fingerprint: SparkGraph.Fingerprint = {
+    val (s, d, w) = arrays
+    SparkGraph.Fingerprint(numVertices, s.length, directed,
+      MurmurHash3.arrayHash(s), MurmurHash3.arrayHash(d), MurmurHash3.arrayHash(w))
+  }
 
   /** Replace the edge set, keeping direction/weight/vertex-count metadata. */
   def withEdges(e: DataFrame, suffix: String): SparkGraph =
-    copy(name = s"$name#$suffix", edges = e)
+    SparkGraph(s"$name#$suffix", e, directed, weighted, numVertices)
+}
+
+object SparkGraph {
+
+  final case class Fingerprint(n: Long, m: Int, directed: Boolean, src: Int, dst: Int, weight: Int)
+
+  /** A graph over a DataFrame plan whose rows are canonical. */
+  def apply(name: String, edges: DataFrame, directed: Boolean, weighted: Boolean, numVertices: Long): SparkGraph =
+    new SparkGraph(name, edges.sparkSession, Left(edges), directed, weighted, numVertices)
+
+  /** A graph over driver arrays that are already canonical, such as a subset
+    * of another graph's edges. The arrays are kept, not copied.
+    */
+  def fromCanonical(
+      spark: SparkSession,
+      name: String,
+      src: Array[Int],
+      dst: Array[Int],
+      weight: Array[Double],
+      directed: Boolean,
+      weighted: Boolean,
+      numVertices: Long): SparkGraph =
+    new SparkGraph(name, spark, Right((src, dst, weight)), directed, weighted, numVertices)
 }
 
 /** Pure DataFrame transformations over [[SparkGraph]]s. */
@@ -82,10 +154,8 @@ object GraphOps {
     */
   def symmetrize(g: SparkGraph): SparkGraph =
     if (!g.directed) g
-    else g.copy(
-      name = s"${g.name}#und",
-      edges = canonicalize(g.edges, directed = false),
-      directed = false)
+    else SparkGraph(s"${g.name}#und", canonicalize(g.edges, directed = false),
+      directed = false, g.weighted, g.numVertices)
 
   /** Count of vertices with no incident edge. */
   def isolatedCount(g: SparkGraph): Long = {
@@ -94,26 +164,28 @@ object GraphOps {
     g.numVertices - touched
   }
 
-  /** Collect edges to driver arrays (src, dst, weight) — the substrate for
-    * inherently sequential algorithms. Fails fast if the graph does not fit
-    * comfortably on the driver.
+  /** The graph's edges as driver arrays (src, dst, weight) — the substrate
+    * for inherently sequential algorithms. Collected at most once per graph
+    * (see [[SparkGraph]]); the arrays are shared, so callers must not write
+    * to them.
     */
-  def collectEdges(g: SparkGraph): (Array[Int], Array[Int], Array[Double]) = {
-    require(g.numVertices <= 2_000_000, s"graph ${g.name} too large for driver collection")
-    val rows = g.edges.select("src", "dst", "weight").collect()
-    val s = new Array[Int](rows.length)
-    val d = new Array[Int](rows.length)
-    val w = new Array[Double](rows.length)
-    var i = 0
-    while (i < rows.length) {
-      val r = rows(i)
-      s(i) = r.getLong(0).toInt; d(i) = r.getLong(1).toInt; w(i) = r.getDouble(2)
-      i += 1
-    }
-    (s, d, w)
+  def collectEdges(g: SparkGraph): (Array[Int], Array[Int], Array[Double]) = g.arrays
+
+  /** The graph over the edges whose indices (into [[collectEdges]]) are set
+    * in `keep`, in index order. A subset of canonical edges is canonical, so
+    * no Spark job runs.
+    */
+  def subgraph(g: SparkGraph, keep: java.util.BitSet, suffix: String): SparkGraph = {
+    val (s, d, w) = collectEdges(g)
+    val idx = keep.stream().toArray
+    SparkGraph.fromCanonical(g.spark, s"${g.name}#$suffix", idx.map(s), idx.map(d), idx.map(w),
+      g.directed, g.weighted, g.numVertices)
   }
 
-  /** Build a SparkGraph from driver-side arrays (canonicalized). */
+  /** Build a SparkGraph from driver-side arrays that may not be canonical
+    * (duplicates, self loops, either orientation): canonicalized by a
+    * Spark plan that runs once, when the graph is first materialized.
+    */
   def fromArrays(
       spark: SparkSession,
       name: String,

@@ -57,7 +57,7 @@ final class EffectiveResistance(reweight: Boolean) extends Sparsifier {
       }
       i += 1
     }
-    GraphOps.fromArrays(g.spark, s"${g.name}#$abbrev-$rho-$seed",
+    SparkGraph.fromCanonical(g.spark, s"${g.name}#$abbrev-$rho-$seed",
       ks.result(), kd.result(), kw.result(),
       directed = false, weighted = reweight || g.weighted, g.numVertices)
   }
@@ -65,15 +65,15 @@ final class EffectiveResistance(reweight: Boolean) extends Sparsifier {
 
 object EffectiveResistance {
 
-  /** Cache of exact resistances keyed by graph name: (src, dst, w, R). The
-    * dense inverse is the expensive one-time cost the paper also amortises
-    * ("we do not include the computation time of the effective resistance
-    * because it is a one-time cost", §4.6).
+  /** Cache of exact resistances keyed by graph content: (src, dst, w, R).
+    * The dense inverse is the expensive one-time cost the paper also
+    * amortises ("we do not include the computation time of the effective
+    * resistance because it is a one-time cost", §4.6).
     */
-  private val cache = TrieMap.empty[String, (Array[Int], Array[Int], Array[Double], Array[Double])]
+  private val cache = TrieMap.empty[SparkGraph.Fingerprint, (Array[Int], Array[Int], Array[Double], Array[Double])]
 
   def resistances(g: SparkGraph, maxN: Int): (Array[Int], Array[Int], Array[Double], Array[Double]) =
-    cache.getOrElseUpdate(g.name, {
+    cache.getOrElseUpdate(g.fingerprint, {
       require(!g.directed, "ER requires an undirected graph (symmetrize first)")
       val n = g.numVertices.toInt
       require(n <= maxN, s"dense ER solve capped at $maxN vertices (got $n)")

@@ -16,12 +16,13 @@ import scala.collection.concurrent.TrieMap
   */
 object SimilarityScores {
 
-  private val cache = TrieMap.empty[String, DataFrame]
+  private val cache = TrieMap.empty[SparkGraph.Fingerprint, DataFrame]
 
   /** Edge DataFrame with columns (src, dst, weight, degSrc, degDst, common,
-    * jaccard, scan). One row per canonical edge of `g`.
+    * jaccard, scan). One row per canonical edge of `g`. Cached by graph
+    * content.
     */
-  def forGraph(g: SparkGraph): DataFrame = cache.getOrElseUpdate(g.name, {
+  def forGraph(g: SparkGraph): DataFrame = cache.getOrElseUpdate(g.fingerprint, {
     val arcs = GraphOps.arcs(g)
     val deg  = GraphOps.degrees(g)
 

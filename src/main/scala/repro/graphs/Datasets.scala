@@ -28,8 +28,7 @@ final case class GnnData(
   * connectivity, ~100× smaller so the full N×N×ρ sweep runs on one machine.
   *
   * `scale` multiplies vertex counts (tests use 0.25, benches 1.0). Graphs
-  * are cached per (name, scale) because sparsifier score/resistance caches
-  * key on graph identity.
+  * are cached per (name, scale), so each is built and collected once.
   */
 object Datasets {
 

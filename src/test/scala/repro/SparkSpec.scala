@@ -8,9 +8,8 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit); the master comes from [[repro.harness.SparkMaster]]. Broadcast
+  * joins are disabled so the sparsifiers' joins run as shuffles.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -21,7 +20,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .master(repro.harness.SparkMaster.fromEnv)
       .appName("repro")
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -1,0 +1,97 @@
+package repro.core
+
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import repro.SparkSpec
+import repro.core.sparsifiers.{EffectiveResistance, SimilarityScores}
+import repro.graphs.Datasets
+import repro.metrics.{Csr, Distances}
+
+/** The graph value's contract: its edges reach the driver at most once, one
+  * CSR per view is shared by sparsifiers and metrics, and the precompute
+  * caches key on graph content rather than on the display name.
+  */
+class GraphValueSpec extends SparkSpec {
+
+  private lazy val fb = Datasets.get(spark, "ego-Facebook", 0.1)
+  private lazy val tw = Datasets.get(spark, "ego-Twitter", 0.05)
+
+  /** Result of `body` and the number of Spark jobs it started. */
+  private def jobsDuring[T](body: => T): (T, Int) = {
+    val sc = spark.sparkContext
+    ListenerBusAccess.drain(sc)
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    try {
+      val r = body
+      ListenerBusAccess.drain(sc)
+      (r, jobs.get)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  private def rows(g: SparkGraph): Seq[(Int, Int, Double)] =
+    g.edges.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt, r.getDouble(2))).toSeq
+
+  private def arrays(g: SparkGraph): Seq[(Int, Int, Double)] = {
+    val (s, d, w) = GraphOps.collectEdges(g)
+    s.indices.map(i => (s(i), d(i), w(i)))
+  }
+
+  for ((kind, input) <- Seq("undirected" -> (() => fb), "directed" -> (() => tw)))
+    test(s"LD output ($kind) runs its plan once; collect, CSRs and stretch start no job") {
+      val in = input()
+      in.numEdges
+      val h = Sparsifiers.localDegree(in, 0.5)
+      val (m, forceJobs) = jobsDuring(h.numEdges)
+      assert(forceJobs > 0)
+      val (_, jobs) = jobsDuring {
+        assert(GraphOps.collectEdges(h)._1.length === m)
+        assert(Csr.fromGraph(h, symmetric = true) eq Csr.fromGraph(h, symmetric = true))
+        Csr.fromGraph(h, symmetric = false)
+        Distances.spspStretch(in, h, nPairs = 50)
+        h.numEdges
+      }
+      assert(jobs === 0)
+    }
+
+  for (sp <- Seq(Sparsifiers.rankDegree, Sparsifiers.spanningForest, Sparsifiers.erWeighted)) {
+    test(s"${sp.abbrev} output starts no job for its edge count and CSR") {
+      fb.numEdges
+      EffectiveResistance.resistances(fb, 2000)
+      val (_, jobs) = jobsDuring {
+        val h = sp(fb, 0.5, seed = 1)
+        h.numEdges
+        Csr.fromGraph(h, symmetric = true)
+        Csr.fromGraph(h, symmetric = false)
+      }
+      assert(jobs === 0)
+    }
+
+    test(s"${sp.abbrev} output's lazily built edges collect to exactly its arrays") {
+      val h = sp(fb, 0.5, seed = 1)
+      assert(rows(h) === arrays(h))
+    }
+  }
+
+  test("precompute caches key on content: same-named graphs get their own scores") {
+    val path = GraphOps.fromPairs(spark, "twin", Seq((0, 1), (1, 2), (2, 3)), directed = false, 4)
+    val cycle = GraphOps.fromPairs(spark, "twin", Seq((0, 1), (1, 2), (2, 3), (0, 3)), directed = false, 4)
+
+    // a tree edge has resistance 1; an edge of a 4-cycle 1·3/(1+3)
+    val (_, _, _, rPath) = EffectiveResistance.resistances(path, 100)
+    val (_, _, _, rCycle) = EffectiveResistance.resistances(cycle, 100)
+    assert(rPath.length === 3 && rPath.forall(r => math.abs(r - 1.0) < 1e-6))
+    assert(rCycle.length === 4 && rCycle.forall(r => math.abs(r - 0.75) < 1e-6))
+
+    // no triangles in either graph, so every edge has zero common neighbours
+    val sPath = SimilarityScores.forGraph(path).collect()
+    val sCycle = SimilarityScores.forGraph(cycle).collect()
+    assert(sPath.length === 3 && sCycle.length === 4)
+    assert(sCycle.map(r => (r.getLong(0), r.getLong(1))).toSet === Set((0L, 1L), (1L, 2L), (2L, 3L), (0L, 3L)))
+    assert(SimilarityScores.forGraph(path) ne SimilarityScores.forGraph(cycle))
+  }
+}
