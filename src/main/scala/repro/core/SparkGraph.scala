@@ -68,6 +68,13 @@ final class SparkGraph private (
   /** The graph's driver CSR: every edge in both directions, or out-arcs only. */
   private[repro] def csr(bothDirections: Boolean): Csr = if (bothDirections) bothCsr else outCsr
 
+  /** The driver CSR of the simple undirected graph: reciprocal arcs of a
+    * directed graph merged into one edge. For an undirected graph it is the
+    * both-directions CSR.
+    */
+  private[repro] lazy val undirectedCsr: Csr =
+    if (directed) Csr.mergeReciprocal(numVertices.toInt, arrays._1, arrays._2, arrays._3) else bothCsr
+
   /** Number of (canonical) edges. */
   def numEdges: Long = arrays._1.length
 
@@ -142,13 +149,6 @@ object GraphOps {
   def degrees(g: SparkGraph): DataFrame =
     arcs(g).groupBy(col("u") as "v").agg(count(lit(1)) as "deg")
 
-  /** Undirected (total) degree, regardless of graph direction. */
-  def totalDegrees(g: SparkGraph): DataFrame = {
-    val fwd = g.edges.select(col("src") as "v")
-    val bwd = g.edges.select(col("dst") as "v")
-    fwd.union(bwd).groupBy("v").agg(count(lit(1)) as "deg")
-  }
-
   /** Undirected version of a directed graph (paper §3.1 step 2: symmetrize
     * then canonicalize). No-op for undirected graphs.
     */
@@ -156,13 +156,6 @@ object GraphOps {
     if (!g.directed) g
     else SparkGraph(s"${g.name}#und", canonicalize(g.edges, directed = false),
       directed = false, g.weighted, g.numVertices)
-
-  /** Count of vertices with no incident edge. */
-  def isolatedCount(g: SparkGraph): Long = {
-    val touched = g.edges.select(col("src") as "v")
-      .union(g.edges.select(col("dst") as "v")).distinct().count()
-    g.numVertices - touched
-  }
 
   /** The graph's edges as driver arrays (src, dst, weight) — the substrate
     * for inherently sequential algorithms. Collected at most once per graph

@@ -182,12 +182,11 @@ object Experiments {
     def exp(dataset: String, tag: String): ExpResult = {
       val g = Datasets.get(spark, dataset, cfg.scale)
       // 12 power iterations: top-100 ranking is stable well before full
-      // convergence, and each iteration is a Catalyst job (PageRankSpec
-      // verifies the DataFrame implementation against the driver one).
+      // convergence.
       val iters = 12
-      val orig = PageRank.scores(g, iters)
+      val orig = Centrality.pagerank(g, iters)
       val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((_, h) =>
-        Centrality.topKPrecision(orig, PageRank.scores(h, iters)))
+        Centrality.topKPrecision(orig, Centrality.pagerank(h, iters)))
       ExpResult(s"Fig $tag: PageRank top-100 precision ($dataset)", cfg.rhos, rows, refValue = Some(1.0))
     }
     Seq(exp("web-Google", "11a"), exp("ego-Facebook", "11b"))

@@ -1,9 +1,9 @@
 package repro.harness
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{GraphOps, PruneRateControl, Sparsifiers}
+import repro.core.{PruneRateControl, Sparsifiers}
 import repro.graphs.Datasets
-import repro.metrics.MetricInfo
+import repro.metrics.{Connectivity, MetricInfo}
 
 /** Renders the paper's taxonomy tables (1–3) from framework metadata, so
   * the tables are *derived from the code* rather than transcribed prose.
@@ -58,8 +58,8 @@ object Taxonomy {
   def datasetMatchesSpec(spark: SparkSession, name: String, scale: Double): Boolean = {
     val sp = Datasets.spec(name)
     val g = Datasets.get(spark, name, scale)
-    val connected = repro.metrics.Connectivity.unreachableRatio(g) == 0.0
+    val connected = Connectivity.unreachableRatio(g) == 0.0
     g.directed == sp.directed && g.weighted == sp.weighted && connected == sp.connected &&
-      GraphOps.isolatedCount(g) == 0
+      Connectivity.isolatedRatio(g) == 0.0
   }
 }

@@ -1,7 +1,5 @@
 package repro.metrics
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import scala.util.Random
 import repro.core.{GraphOps, SparkGraph}
 
@@ -26,8 +24,10 @@ object Connectivity {
   }
 
   /** Fraction of vertices with no incident edge. */
-  def isolatedRatio(g: SparkGraph): Double =
-    GraphOps.isolatedCount(g).toDouble / g.numVertices
+  def isolatedRatio(g: SparkGraph): Double = {
+    val c = Csr.fromGraph(g)
+    (0 until c.n).count(c.degree(_) == 0).toDouble / g.numVertices
+  }
 }
 
 /** Degree-distribution similarity via Bhattacharyya distance (§3.3.1):
@@ -42,16 +42,16 @@ object DegreeDistribution {
 
   val NumBins = 100
 
-  /** Degree histogram (vertices with no edge count as degree 0). */
+  /** Histogram of total (in + out) degrees, the symmetric view's; vertices
+    * with no edge count as degree 0.
+    */
   def histogram(g: SparkGraph, maxDeg: Int): Array[Double] = {
-    val degs = GraphOps.totalDegrees(g).collect().map(_.getLong(1))
-    val nZero = g.numVertices - degs.length
+    val c = Csr.fromGraph(g)
     val bins = new Array[Double](NumBins)
     // 100 bins over THIS graph's [0, maxDeg] — fractional widths are the
     // point: relative (not absolute) degree position is compared.
     val width = (maxDeg + 1).toDouble / NumBins
-    bins(0) += nZero.toDouble
-    degs.foreach { d => bins(math.min(NumBins - 1, (d / width).toInt)) += 1.0 }
+    (0 until c.n).foreach { v => bins(math.min(NumBins - 1, (c.degree(v) / width).toInt)) += 1.0 }
     val total = bins.sum
     bins.map(_ / total)
   }
@@ -63,34 +63,21 @@ object DegreeDistribution {
     math.max(0.0, -math.log(math.max(bc, 1e-300)))
   }
 
-  private def maxDeg(g: SparkGraph): Int = {
-    val r = GraphOps.totalDegrees(g).agg(max("deg")).collect()(0)
-    if (r.isNullAt(0)) 0 else r.getLong(0).toInt
-  }
-
   /** Distance between the original and sparsified degree distributions,
     * each binned over its own degree range (see class doc).
     */
   def distance(orig: SparkGraph, spar: SparkGraph): Double =
-    bhattacharyya(histogram(orig, maxDeg(orig)), histogram(spar, maxDeg(spar)))
+    bhattacharyya(histogram(orig, Csr.fromGraph(orig).maxDegree),
+      histogram(spar, Csr.fromGraph(spar).maxDegree))
 }
 
-/** Laplacian quadratic form xᵀLx = Σ_e w_e (x_u − x_v)² (§2.2.1, §3.3.1).
-  *
-  * The DataFrame form is the Oracle-checkable one (a join + aggregate);
-  * the sweep uses the driver form for 100 random vectors at once.
+/** Laplacian quadratic form xᵀLx = Σ_e w_e (x_u − x_v)² (§2.2.1, §3.3.1),
+  * summed on the driver for 100 random vectors at once.
   */
 object QuadraticForm {
 
-  /** Catalyst version for a single vector x given as a (v, x) DataFrame. */
-  def quadraticFormDF(g: SparkGraph, x: DataFrame): Double =
-    g.edges
-      .join(x.select(col("v") as "src", col("x") as "xs"), "src")
-      .join(x.select(col("v") as "dst", col("x") as "xd"), "dst")
-      .agg(sum(col("weight") * (col("xs") - col("xd")) * (col("xs") - col("xd"))) as "qf")
-      .collect()(0).getDouble(0)
-
-  private def qfDriver(g: SparkGraph, xs: Array[Array[Double]]): Array[Double] = {
+  /** xᵀLx for each vector x in `xs`, one pass over the edge arrays. */
+  private[repro] def qfDriver(g: SparkGraph, xs: Array[Array[Double]]): Array[Double] = {
     val (src, dst, wt) = GraphOps.collectEdges(g)
     val out = new Array[Double](xs.length)
     var e = 0
@@ -117,12 +104,5 @@ object QuadraticForm {
     val qs = qfDriver(spar, xs)
     val ratios = qo.indices.collect { case i if qo(i) > 1e-12 => qs(i) / qo(i) }
     ratios.sum / ratios.length
-  }
-
-  /** Random vector as a DataFrame, for tests. */
-  def randomVectorDF(spark: SparkSession, n: Int, seed: Long): DataFrame = {
-    import spark.implicits._
-    val rng = new Random(seed)
-    (0 until n).map(v => (v.toLong, rng.nextGaussian())).toDF("v", "x")
   }
 }

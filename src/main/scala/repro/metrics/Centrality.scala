@@ -3,7 +3,8 @@ package repro.metrics
 import scala.collection.mutable
 import repro.core.SparkGraph
 
-/** Centrality metrics (§2.2.3) and the top-k precision evaluator (§3.3.3).
+/** Centrality metrics (§2.2.3), PageRank (§2.2.5) and the top-k precision
+  * evaluator (§3.3.3).
   *
   * Brandes betweenness is exact (our graphs are ~100× smaller than the
   * paper's, so exact is cheaper than the paper's 500-sample Geisberger
@@ -14,9 +15,9 @@ import repro.core.SparkGraph
   */
 object Centrality {
 
-  /** Exact Brandes betweenness on the undirected (symmetrized) view. */
+  /** Exact Brandes betweenness on the undirected simple (symmetrized) graph. */
   def betweenness(g: SparkGraph): Array[Double] = {
-    val c = Csr.fromGraph(g, symmetric = true)
+    val c = Csr.undirected(g)
     val n = c.n
     val bc = new Array[Double](n)
     val sigma = new Array[Double](n)
@@ -115,10 +116,13 @@ object Centrality {
     x
   }
 
-  /** Driver reference PageRank (damping 0.85, dangling mass redistributed
-    * uniformly) — the correctness oracle for the DataFrame implementation.
+  /** PageRank (§2.2.5) by `iters` power iterations from the uniform vector:
+    * damping 0.85, transition probability proportional to arc weight (1/k
+    * for unweighted graphs), dangling mass redistributed uniformly. Scores
+    * flow along directed arcs; undirected edges carry them both ways.
     */
-  def pagerankDriver(g: SparkGraph, iters: Int = 20, d: Double = 0.85): Array[Double] = {
+  def pagerank(g: SparkGraph, iters: Int = 20): Array[Double] = {
+    val d = 0.85
     val c = Csr.fromGraph(g, symmetric = !g.directed)
     val n = c.n
     val outW = Array.tabulate(n) { u => var s = 0.0; c.foreachNbr(u)((_, w) => s += w); s }

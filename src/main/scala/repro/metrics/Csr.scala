@@ -4,11 +4,10 @@ import scala.collection.mutable
 import repro.core.SparkGraph
 
 /** Immutable CSR adjacency on the driver — the one substrate for the
-  * sequential sparsifiers (Rank Degree, Forest Fire) and the iterative
-  * metrics (BFS/Dijkstra distances, Brandes betweenness, power iterations,
-  * Louvain, max-flow). Graphs in this repro are ≤ ~10⁵ edges (DESIGN.md),
-  * so collected arrays are the right tool; bulk per-edge metrics stay in
-  * DataFrames.
+  * sequential sparsifiers (Rank Degree, Forest Fire) and every metric
+  * (degrees, triangles, BFS/Dijkstra distances, Brandes betweenness, power
+  * iterations, Louvain, max-flow). Graphs in this repro are ≤ ~10⁵ edges
+  * (DESIGN.md), so collected arrays are the right tool.
   *
   * Each arc carries the index of the edge it came from (`arcEdge`), so a
   * kept-edge bitset maps straight back to the graph's edge arrays.
@@ -101,13 +100,37 @@ final class Csr(
 object Csr {
 
   /** The graph's shared CSR. `symmetric = true` (default) gives the
-    * undirected view used by distance/clustering metrics; `false` keeps
+    * view used by the distance and degree metrics; `false` keeps
     * directed out-adjacency (PageRank, left-eigenvector, Katz). Undirected
     * graphs have only the symmetric view. Built at most once per view and
     * graph; callers must not write to its arrays.
     */
   def fromGraph(g: SparkGraph, symmetric: Boolean = true): Csr =
     g.csr(bothDirections = symmetric || !g.directed)
+
+  /** The graph's shared CSR of its simple undirected graph (the symmetrized
+    * graph of §3.1): unlike the symmetric view, a directed graph's
+    * reciprocal arcs u→v, v→u give one edge, so each neighbour is listed
+    * once. The same CSR as `fromGraph(g)` for undirected graphs.
+    */
+  def undirected(g: SparkGraph): Csr = g.undirectedCsr
+
+  /** Symmetric CSR of directed arcs with reciprocal pairs merged into one
+    * undirected edge of the larger weight (as `GraphOps.symmetrize` keeps),
+    * edges ordered by (min endpoint, max endpoint).
+    */
+  private[repro] def mergeReciprocal(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double]): Csr = {
+    val byPair = mutable.LongMap.empty[Double]
+    var i = 0
+    while (i < src.length) {
+      val key = math.min(src(i), dst(i)).toLong * n + math.max(src(i), dst(i))
+      byPair(key) = math.max(byPair.getOrElse(key, Double.NegativeInfinity), wt(i))
+      i += 1
+    }
+    val keys = byPair.keys.toArray.sorted
+    fromArrays(n, keys.map(k => (k / n).toInt), keys.map(k => (k % n).toInt), keys.map(byPair),
+      bothDirections = true)
+  }
 
   /** Counting-sort build: each vertex lists its arcs in edge-index order.
     * Seeded walks over neighbour lists (Rank Degree, Forest Fire) depend on

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.metrics.{Connectivity, Csr}
 
 class GraphOpsSpec extends SparkSpec {
   import GraphOps._
@@ -52,15 +53,18 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("total degrees of a directed path count both endpoints") {
-    val d = totalDegrees(pathDir).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    assert(d === Map(0L -> 1L, 1L -> 2L, 2L -> 2L, 3L -> 1L))
+    val c = Csr.fromGraph(pathDir)
+    assert((0 until 4).map(c.degree) === Seq(1, 2, 2, 1))
   }
 
   test("degrees match DuckDB oracle") {
+    import spark.implicits._
     val g = repro.graphs.Datasets.get(spark, "ego-Facebook", 0.1)
-    val sparkDeg = totalDegrees(g).select(col("v"), col("deg"))
+    val c = Csr.fromGraph(g)
+    val csrDeg = (0 until c.n).filter(c.degree(_) > 0)
+      .map(v => (v.toLong, c.degree(v).toLong)).toDF("v", "deg")
     Oracle.assertEquivalent(
-      sparkDeg,
+      csrDeg,
       """SELECT v, COUNT(*) AS deg FROM
         |  (SELECT src AS v FROM edges UNION ALL SELECT dst AS v FROM edges)
         |GROUP BY v""".stripMargin,
@@ -78,10 +82,10 @@ class GraphOpsSpec extends SparkSpec {
     assert(symmetrize(triangle) eq triangle)
   }
 
-  test("isolatedCount counts untouched vertices") {
+  test("isolatedRatio counts untouched vertices") {
     val g = fromPairs(spark, "iso", Seq((0, 1)), directed = false, 5)
-    assert(isolatedCount(g) === 3)
-    assert(isolatedCount(triangle) === 0)
+    assert(Connectivity.isolatedRatio(g) === 3.0 / 5)
+    assert(Connectivity.isolatedRatio(triangle) === 0.0)
   }
 
   test("fromArrays round-trips weights") {

@@ -6,11 +6,12 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.core.sparsifiers.{EffectiveResistance, SimilarityScores}
 import repro.graphs.Datasets
-import repro.metrics.{Csr, Distances}
+import repro.metrics.{Centrality, ClusteringCoeffs, Connectivity, Csr, DegreeDistribution, Distances}
 
 /** The graph value's contract: its edges reach the driver at most once, one
-  * CSR per view is shared by sparsifiers and metrics, and the precompute
-  * caches key on graph content rather than on the display name.
+  * CSR per view is shared by sparsifiers and metrics, every metric scores
+  * the edges the graph counts, and the precompute caches key on graph
+  * content rather than on the display name.
   */
 class GraphValueSpec extends SparkSpec {
 
@@ -53,10 +54,26 @@ class GraphValueSpec extends SparkSpec {
         assert(Csr.fromGraph(h, symmetric = true) eq Csr.fromGraph(h, symmetric = true))
         Csr.fromGraph(h, symmetric = false)
         Distances.spspStretch(in, h, nPairs = 50)
+        Centrality.pagerank(h)
+        ClusteringCoeffs.mcc(h)
+        ClusteringCoeffs.gcc(h)
+        DegreeDistribution.distance(in, h)
+        Connectivity.isolatedRatio(h)
+        Centrality.betweenness(h)
         h.numEdges
       }
       assert(jobs === 0)
     }
+
+  test("RN output: metrics score the sampled edges, not a rerun of the sampling plan") {
+    val h = Sparsifiers.random(fb, 0.5, seed = 7)
+    val (s, d, w) = GraphOps.collectEdges(h)
+    val copy = SparkGraph.fromCanonical(spark, "rn-copy", s, d, w, h.directed, h.weighted, h.numVertices)
+    def scores(g: SparkGraph): Seq[Double] =
+      Seq(Connectivity.isolatedRatio(g), DegreeDistribution.distance(fb, g),
+        ClusteringCoeffs.mcc(g), ClusteringCoeffs.gcc(g)) ++ Centrality.pagerank(g, iters = 12)
+    assert(scores(h) === scores(copy))
+  }
 
   for (sp <- Seq(Sparsifiers.rankDegree, Sparsifiers.spanningForest, Sparsifiers.erWeighted)) {
     test(s"${sp.abbrev} output starts no job for its edge count and CSR") {

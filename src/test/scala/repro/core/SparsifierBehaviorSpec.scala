@@ -13,8 +13,14 @@ class SparsifierBehaviorSpec extends SparkSpec {
 
   private lazy val fb = Datasets.get(spark, "ego-Facebook", 0.2)
 
-  private def isolatedAfter(g: SparkGraph, h: SparkGraph): Long =
-    GraphOps.isolatedCount(h) - GraphOps.isolatedCount(g)
+  /** Total degree of every vertex, from the graph's symmetric CSR. */
+  private def degrees(g: SparkGraph): IndexedSeq[Int] = {
+    val c = Csr.fromGraph(g)
+    (0 until c.n).map(c.degree)
+  }
+
+  private def isolatedAfter(g: SparkGraph, h: SparkGraph): Int =
+    degrees(h).count(_ == 0) - degrees(g).count(_ == 0)
 
   // ---- K-Neighbor / Local Degree / local similarity: ≥1 edge per vertex ----
   for (sp <- Seq(Sparsifiers.kNeighbor, Sparsifiers.localDegree,
@@ -103,10 +109,10 @@ class SparsifierBehaviorSpec extends SparkSpec {
   // ---- Local Degree hub bias ----
   test("LD: hubs retain proportionally more edges than leaves") {
     val h = Sparsifiers.localDegree(fb, 0.7, 0)
-    val degO = GraphOps.totalDegrees(fb).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val degH = GraphOps.totalDegrees(h).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val hubs = degO.toSeq.sortBy(-_._2).take(10).map(_._1)
-    val hubKeep = hubs.map(v => degH.getOrElse(v, 0L).toDouble / degO(v)).sum / hubs.size
+    val degO = degrees(fb)
+    val degH = degrees(h)
+    val hubs = degO.indices.sortBy(-degO(_)).take(10)
+    val hubKeep = hubs.map(v => degH(v).toDouble / degO(v)).sum / hubs.size
     val overall = 1.0 - 0.7
     assert(hubKeep > overall, f"hub keep rate $hubKeep%.2f not above overall ${overall}%.2f")
   }
@@ -139,10 +145,10 @@ class SparsifierBehaviorSpec extends SparkSpec {
 
   test("RD: biases toward high-degree vertices") {
     val h = Sparsifiers.rankDegree(fb, 0.7, seed = 10)
-    val degO = GraphOps.totalDegrees(fb).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val degH = GraphOps.totalDegrees(h).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val hubs = degO.toSeq.sortBy(-_._2).take(10).map(_._1)
-    val hubKeep = hubs.map(v => degH.getOrElse(v, 0L).toDouble / degO(v)).sum / hubs.size
+    val degO = degrees(fb)
+    val degH = degrees(h)
+    val hubs = degO.indices.sortBy(-degO(_)).take(10)
+    val hubKeep = hubs.map(v => degH(v).toDouble / degO(v)).sum / hubs.size
     assert(hubKeep > 0.3)
   }
 

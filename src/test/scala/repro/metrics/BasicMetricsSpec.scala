@@ -1,6 +1,5 @@
 package repro.metrics
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{GraphOps, Sparsifiers}
 import repro.graphs.Datasets
@@ -64,28 +63,23 @@ class BasicMetricsSpec extends SparkSpec {
 
   // ---- quadratic form ----
   test("quadratic form of a single edge is w·(x_u − x_v)²") {
-    import spark.implicits._
     val g = GraphOps.fromArrays(spark, "qf1", Array(0), Array(1), Array(2.0),
       directed = false, weighted = true, 2)
-    val x = Seq((0L, 3.0), (1L, 1.0)).toDF("v", "x")
-    assert(math.abs(QuadraticForm.quadraticFormDF(g, x) - 8.0) < 1e-12)
+    assert(math.abs(QuadraticForm.qfDriver(g, Array(Array(3.0, 1.0)))(0) - 8.0) < 1e-12)
   }
 
-  test("DataFrame quadratic form matches DuckDB oracle") {
+  test("driver quadratic form matches DuckDB oracle") {
     import spark.implicits._
     val g = Datasets.get(spark, "com-DBLP", 0.08)
-    val x = QuadraticForm.randomVectorDF(spark, g.numVertices.toInt, seed = 3)
-    val sparkQf = g.edges
-      .join(x.select(col("v") as "src", col("x") as "xs"), "src")
-      .join(x.select(col("v") as "dst", col("x") as "xd"), "dst")
-      .agg(sum(col("weight") * (col("xs") - col("xd")) * (col("xs") - col("xd"))) as "qf")
+    val rng = new scala.util.Random(3)
+    val x = Array.fill(g.numVertices.toInt)(rng.nextGaussian())
     Oracle.assertEquivalent(
-      sparkQf,
+      Seq(QuadraticForm.qfDriver(g, Array(x))(0)).toDF("qf"),
       """SELECT SUM(CAST(e.weight AS DOUBLE) *
         |           (CAST(a.x AS DOUBLE) - CAST(b.x AS DOUBLE)) *
         |           (CAST(a.x AS DOUBLE) - CAST(b.x AS DOUBLE))) AS qf
         |FROM edges e JOIN xs a ON a.v = e.src JOIN xs b ON b.v = e.dst""".stripMargin,
-      "edges" -> g.edges, "xs" -> x)
+      "edges" -> g.edges, "xs" -> x.indices.map(v => (v.toLong, x(v))).toDF("v", "x"))
   }
 
   test("meanRatio of a graph against itself is 1") {

@@ -25,6 +25,13 @@ class CentralitySpec extends SparkSpec {
     (1 to 5).foreach(i => assert(bc(i) === 0.0))
   }
 
+  test("betweenness of a directed graph counts each reciprocal pair as one edge") {
+    // symmetrized: the 4-cycle 0-1-3-2-0, where every vertex carries 1
+    val g = GraphOps.fromPairs(spark, "bc-recip",
+      Seq((0, 1), (1, 0), (1, 3), (0, 2), (2, 3)), directed = true, 4)
+    Centrality.betweenness(g).foreach(v => assert(math.abs(v - 1.0) < 1e-9))
+  }
+
   test("betweenness splits equally across parallel shortest paths") {
     val c4 = GraphOps.fromPairs(spark, "bc-c4",
       Seq((0, 1), (1, 2), (2, 3), (3, 0)), directed = false, 4)
@@ -102,14 +109,14 @@ class CentralitySpec extends SparkSpec {
 
   // ---- driver PageRank ----
   test("driver pagerank sums to 1 and favours the star hub") {
-    val pr = Centrality.pagerankDriver(star)
+    val pr = Centrality.pagerank(star)
     assert(math.abs(pr.sum - 1.0) < 1e-9)
     (1 to 5).foreach(i => assert(pr(0) > pr(i)))
   }
 
   test("driver pagerank handles dangling vertices (directed path)") {
     val g = GraphOps.fromPairs(spark, "pr-dp", Seq((0, 1), (1, 2)), directed = true, 3)
-    val pr = Centrality.pagerankDriver(g)
+    val pr = Centrality.pagerank(g)
     assert(math.abs(pr.sum - 1.0) < 1e-9)
     assert(pr(2) > pr(1) && pr(1) > pr(0))
   }

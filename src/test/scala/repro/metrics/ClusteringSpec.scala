@@ -22,9 +22,7 @@ class ClusteringSpec extends SparkSpec {
   }
 
   test("triangles per vertex on K4: each vertex in 3") {
-    val t = ClusteringCoeffs.trianglesPerVertex(k4).collect()
-      .map(r => r.getLong(0) -> r.getLong(1)).toMap
-    (0 to 3).foreach(v => assert(t(v.toLong) === 3))
+    assert(ClusteringCoeffs.trianglesPerVertex(k4).toSeq === Seq(3L, 3L, 3L, 3L))
   }
 
   test("triangle count matches DuckDB oracle") {
@@ -67,6 +65,15 @@ class ClusteringSpec extends SparkSpec {
     // paw graph: LCC(0)=LCC(1)=1, LCC(2)=1/3, LCC(3)=0 → MCC=(1+1+1/3+0)/4
     val paw = GraphOps.fromPairs(spark, "cl-paw2", Seq((0, 1), (1, 2), (0, 2), (2, 3)), directed = false, 4)
     assert(math.abs(ClusteringCoeffs.mcc(paw) - (2.0 + 1.0 / 3.0) / 4.0) < 1e-12)
+  }
+
+  test("a directed graph is scored as its symmetrization (reciprocal arcs merged)") {
+    // symmetrized, these arcs are the paw graph above
+    val g = GraphOps.fromPairs(spark, "cl-paw-dir",
+      Seq((0, 1), (1, 0), (1, 2), (2, 0), (2, 3)), directed = true, 4)
+    assert(ClusteringCoeffs.trianglesPerVertex(g).toSeq === Seq(1L, 1L, 1L, 0L))
+    assert(math.abs(ClusteringCoeffs.gcc(g) - 3.0 / 5.0) < 1e-12)
+    assert(math.abs(ClusteringCoeffs.mcc(g) - (2.0 + 1.0 / 3.0) / 4.0) < 1e-12)
   }
 
   // ---- Louvain ----
