@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
 import scala.util.hashing.MurmurHash3
 import repro.metrics.Csr
 
@@ -19,13 +20,14 @@ import repro.metrics.Csr
   * only, §2.1 of the paper).
   *
   * A graph is one fixed value, and its edges reach the driver at most once:
-  *   - built from a DataFrame plan ([[SparkGraph.apply]], the Catalyst
-  *     sparsifiers), it runs that plan once, on the first call to
+  *   - built from a DataFrame plan ([[SparkGraph.apply]]: the datasets and
+  *     the RN/KN samplers), it runs that plan once, on the first call to
   *     `numEdges`, [[GraphOps.collectEdges]] or `Csr.fromGraph`, and keeps
   *     the rows in the plan's collect order;
-  *   - built from canonical driver arrays ([[SparkGraph.fromCanonical]], the
-  *     driver sparsifiers), it starts no Spark job for them, and creates its
-  *     `edges` DataFrame only when a Catalyst consumer asks for it.
+  *   - built from canonical driver arrays ([[SparkGraph.fromCanonical]]:
+  *     every other sparsifier's output and the symmetrized view), it starts
+  *     no Spark job for them, and creates its `edges` DataFrame only when a
+  *     Catalyst consumer asks for it.
   * The driver CSR of each view is built from those arrays at most once.
   *
   * @param name display name; caches key on [[fingerprint]], not on it
@@ -68,12 +70,27 @@ final class SparkGraph private (
   /** The graph's driver CSR: every edge in both directions, or out-arcs only. */
   private[repro] def csr(bothDirections: Boolean): Csr = if (bothDirections) bothCsr else outCsr
 
-  /** The driver CSR of the simple undirected graph: reciprocal arcs of a
-    * directed graph merged into one edge. For an undirected graph it is the
-    * both-directions CSR.
+  /** The simple undirected graph (paper §3.1 step 2): a directed graph's
+    * reciprocal arcs u→v, v→u merged into one edge of the larger weight,
+    * edges ordered by (min endpoint, max endpoint). Built on the driver at
+    * most once; an undirected graph is its own symmetrization.
     */
-  private[repro] lazy val undirectedCsr: Csr =
-    if (directed) Csr.mergeReciprocal(numVertices.toInt, arrays._1, arrays._2, arrays._3) else bothCsr
+  private[repro] lazy val symmetrized: SparkGraph =
+    if (!directed) this
+    else {
+      val (s, d, w) = arrays
+      val n = numVertices
+      val byPair = mutable.LongMap.empty[Double]
+      var i = 0
+      while (i < s.length) {
+        val key = math.min(s(i), d(i)) * n + math.max(s(i), d(i))
+        byPair(key) = math.max(byPair.getOrElse(key, Double.NegativeInfinity), w(i))
+        i += 1
+      }
+      val keys = byPair.keys.toArray.sorted
+      SparkGraph.fromCanonical(spark, s"$name#und", keys.map(k => (k / n).toInt), keys.map(k => (k % n).toInt),
+        keys.map(byPair), directed = false, weighted, numVertices)
+    }
 
   /** Number of (canonical) edges. */
   def numEdges: Long = arrays._1.length
@@ -141,21 +158,11 @@ object GraphOps {
     else fwd.union(g.edges.select(col("dst") as "u", col("src") as "v", col("weight")))
   }
 
-  /** Degree per vertex with at least one edge: undirected degree, or
-    * out-degree for directed graphs (the paper uses out-degree, Table 2).
-    * Columns (v, deg). Isolated vertices are absent — callers that need
-    * them use `numVertices`.
+  /** Undirected version of a directed graph (paper §3.1 step 2), the
+    * graph's cached [[SparkGraph.symmetrized]] view. No-op for undirected
+    * graphs.
     */
-  def degrees(g: SparkGraph): DataFrame =
-    arcs(g).groupBy(col("u") as "v").agg(count(lit(1)) as "deg")
-
-  /** Undirected version of a directed graph (paper §3.1 step 2: symmetrize
-    * then canonicalize). No-op for undirected graphs.
-    */
-  def symmetrize(g: SparkGraph): SparkGraph =
-    if (!g.directed) g
-    else SparkGraph(s"${g.name}#und", canonicalize(g.edges, directed = false),
-      directed = false, g.weighted, g.numVertices)
+  def symmetrize(g: SparkGraph): SparkGraph = g.symmetrized
 
   /** The graph's edges as driver arrays (src, dst, weight) — the substrate
     * for inherently sequential algorithms. Collected at most once per graph

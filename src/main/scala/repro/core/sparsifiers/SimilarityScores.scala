@@ -1,60 +1,63 @@
 package repro.core.sparsifiers
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.core.{GraphOps, SparkGraph}
+import repro.metrics.Csr
 import scala.collection.concurrent.TrieMap
 
 /** Per-edge similarity scores shared by G-Spar, L-Spar, Local Similarity and
-  * SCAN — computed once per graph with Catalyst joins and cached (the scores
-  * do not depend on the prune rate, so re-use across the ρ sweep matters).
+  * SCAN — computed once per graph on the driver and cached (the scores do
+  * not depend on the prune rate, so re-use across the ρ sweep matters).
   *
-  * For an edge (u,v):
+  * For an edge (u,v), with deg the degree in the arcs view (out-degree for
+  * directed graphs):
   *   - `common`  = |N(u) ∩ N(v)| (out-neighbourhoods for directed graphs),
   *   - `jaccard` = common / (deg(u)+deg(v)−common)              (§2.3.8),
   *   - `scan`    = (common+1) / sqrt((deg(u)+1)(deg(v)+1))      (§2.3.8).
+  *
+  * Each array is indexed like [[GraphOps.collectEdges]]; callers must not
+  * write to them.
   */
+final case class SimilarityScores(common: Array[Int], jaccard: Array[Double], scan: Array[Double])
+
 object SimilarityScores {
 
-  private val cache = TrieMap.empty[SparkGraph.Fingerprint, DataFrame]
+  private val cache = TrieMap.empty[SparkGraph.Fingerprint, SimilarityScores]
 
-  /** Edge DataFrame with columns (src, dst, weight, degSrc, degDst, common,
-    * jaccard, scan). One row per canonical edge of `g`. Cached by graph
-    * content.
-    */
-  def forGraph(g: SparkGraph): DataFrame = cache.getOrElseUpdate(g.fingerprint, {
-    val arcs = GraphOps.arcs(g)
-    val deg  = GraphOps.degrees(g)
-
-    // Common out-neighbours per edge: wedge join A(u,w) ⋈ A(v,w).
-    val a1 = arcs.select(col("u") as "src", col("v") as "w1")
-    val a2 = arcs.select(col("u") as "dst", col("v") as "w2")
-    val common = g.edges.select("src", "dst")
-      .join(a1, "src")
-      .join(a2.withColumnRenamed("w2", "w1"), Seq("dst", "w1"))
-      .groupBy("src", "dst").agg(count(lit(1)) as "common")
-
-    val scored = g.edges
-      .join(common, Seq("src", "dst"), "left")
-      .na.fill(0L, Seq("common"))
-      .join(deg.select(col("v") as "src", col("deg") as "degSrc"), Seq("src"), "left")
-      .join(deg.select(col("v") as "dst", col("deg") as "degDst"), Seq("dst"), "left")
-      .na.fill(0L, Seq("degSrc", "degDst"))
-      .withColumn("jaccard",
-        when(col("degSrc") + col("degDst") - col("common") > 0,
-          col("common") / (col("degSrc") + col("degDst") - col("common")))
-          .otherwise(lit(0.0)))
-      .withColumn("scan",
-        (col("common") + 1) / sqrt((col("degSrc") + 1) * (col("degDst") + 1)))
-      .select("src", "dst", "weight", "degSrc", "degDst", "common", "jaccard", "scan")
-      .persist()
-    scored.count() // materialize so the cache actually caches work
-    scored
+  /** The scores of every edge of `g`. Cached by graph content. */
+  def forGraph(g: SparkGraph): SimilarityScores = cache.getOrElseUpdate(g.fingerprint, {
+    val (src, dst, _) = GraphOps.collectEdges(g)
+    val c = Csr.fromGraph(g, symmetric = false)
+    val m = src.length
+    val common = new Array[Int](m)
+    // Mark N(u), then count each edge u→x's marked neighbours of x, once
+    // per edge (from its src end).
+    val mark = Array.fill(c.n)(-1)
+    var u = 0
+    while (u < c.n) {
+      var i = c.offsets(u)
+      while (i < c.offsets(u + 1)) { mark(c.nbrs(i)) = u; i += 1 }
+      i = c.offsets(u)
+      while (i < c.offsets(u + 1)) {
+        val e = c.arcEdge(i)
+        if (src(e) == u) {
+          val x = c.nbrs(i)
+          var j = c.offsets(x)
+          while (j < c.offsets(x + 1)) { if (mark(c.nbrs(j)) == u) common(e) += 1; j += 1 }
+        }
+        i += 1
+      }
+      u += 1
+    }
+    val jaccard = Array.tabulate(m) { e =>
+      val union = c.degree(src(e)) + c.degree(dst(e)) - common(e)
+      if (union > 0) common(e).toDouble / union else 0.0
+    }
+    val scan = Array.tabulate(m) { e =>
+      (common(e) + 1).toDouble / math.sqrt((c.degree(src(e)) + 1).toDouble * (c.degree(dst(e)) + 1))
+    }
+    SimilarityScores(common, jaccard, scan)
   })
 
-  /** Drop cached score frames (tests that build many graphs call this). */
-  def clear(): Unit = {
-    cache.values.foreach(_.unpersist())
-    cache.clear()
-  }
+  /** Drop cached scores (tests that build many graphs call this). */
+  def clear(): Unit = cache.clear()
 }

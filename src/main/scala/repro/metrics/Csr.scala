@@ -108,29 +108,12 @@ object Csr {
   def fromGraph(g: SparkGraph, symmetric: Boolean = true): Csr =
     g.csr(bothDirections = symmetric || !g.directed)
 
-  /** The graph's shared CSR of its simple undirected graph (the symmetrized
+  /** The shared CSR of the graph's simple undirected graph (the symmetrized
     * graph of §3.1): unlike the symmetric view, a directed graph's
     * reciprocal arcs u→v, v→u give one edge, so each neighbour is listed
     * once. The same CSR as `fromGraph(g)` for undirected graphs.
     */
-  def undirected(g: SparkGraph): Csr = g.undirectedCsr
-
-  /** Symmetric CSR of directed arcs with reciprocal pairs merged into one
-    * undirected edge of the larger weight (as `GraphOps.symmetrize` keeps),
-    * edges ordered by (min endpoint, max endpoint).
-    */
-  private[repro] def mergeReciprocal(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double]): Csr = {
-    val byPair = mutable.LongMap.empty[Double]
-    var i = 0
-    while (i < src.length) {
-      val key = math.min(src(i), dst(i)).toLong * n + math.max(src(i), dst(i))
-      byPair(key) = math.max(byPair.getOrElse(key, Double.NegativeInfinity), wt(i))
-      i += 1
-    }
-    val keys = byPair.keys.toArray.sorted
-    fromArrays(n, keys.map(k => (k / n).toInt), keys.map(k => (k % n).toInt), keys.map(byPair),
-      bothDirections = true)
-  }
+  def undirected(g: SparkGraph): Csr = fromGraph(g.symmetrized)
 
   /** Counting-sort build: each vertex lists its arcs in edge-index order.
     * Seeded walks over neighbour lists (Rank Degree, Forest Fire) depend on

@@ -15,9 +15,8 @@ final case class MetricInfo(
     finitePairsOnly: Boolean = false,
     note: String = "")
 
-/** The paper's Table 1, as data the framework consults when pairing metrics
-  * with graphs (e.g. #Communities and Clustering F1 are skipped on directed
-  * graphs; weights are ignored where Table 1 says so).
+/** The paper's Table 1 as data: `Taxonomy` renders it, and the tests check
+  * it against the paper. The metrics themselves do not read it.
   */
 object MetricInfo {
   val all: Seq[MetricInfo] = Seq(
@@ -39,7 +38,4 @@ object MetricInfo {
     MetricInfo("Min-cut/Max-flow",  directed = true,  weighted = true,  weightUsed = true,  unconnected = true, finitePairsOnly = true),
     MetricInfo("GNN",               directed = true,  weighted = true,  weightUsed = true,  unconnected = true),
   )
-
-  def byName(n: String): MetricInfo =
-    all.find(_.name == n).getOrElse(throw new NoSuchElementException(s"no metric '$n'"))
 }

@@ -9,9 +9,9 @@ import repro.graphs.Datasets
 import repro.metrics.{Centrality, ClusteringCoeffs, Connectivity, Csr, DegreeDistribution, Distances}
 
 /** The graph value's contract: its edges reach the driver at most once, one
-  * CSR per view is shared by sparsifiers and metrics, every metric scores
-  * the edges the graph counts, and the precompute caches key on graph
-  * content rather than on the display name.
+  * CSR per view and one symmetrization are shared by sparsifiers and
+  * metrics, every metric scores the edges the graph counts, and the
+  * precompute caches key on graph content rather than on the display name.
   */
 class GraphValueSpec extends SparkSpec {
 
@@ -43,10 +43,10 @@ class GraphValueSpec extends SparkSpec {
   }
 
   for ((kind, input) <- Seq("undirected" -> (() => fb), "directed" -> (() => tw)))
-    test(s"LD output ($kind) runs its plan once; collect, CSRs and stretch start no job") {
+    test(s"RN output ($kind) runs its plan once; collect, CSRs and stretch start no job") {
       val in = input()
       in.numEdges
-      val h = Sparsifiers.localDegree(in, 0.5)
+      val h = Sparsifiers.random(in, 0.5, seed = 1)
       val (m, forceJobs) = jobsDuring(h.numEdges)
       assert(forceJobs > 0)
       val (_, jobs) = jobsDuring {
@@ -75,7 +75,9 @@ class GraphValueSpec extends SparkSpec {
     assert(scores(h) === scores(copy))
   }
 
-  for (sp <- Seq(Sparsifiers.rankDegree, Sparsifiers.spanningForest, Sparsifiers.erWeighted)) {
+  for (sp <- Seq(Sparsifiers.rankDegree, Sparsifiers.spanningForest, Sparsifiers.erWeighted,
+      Sparsifiers.localDegree, Sparsifiers.localSimilarity, Sparsifiers.lSpar, Sparsifiers.gSpar,
+      Sparsifiers.scan)) {
     test(s"${sp.abbrev} output starts no job for its edge count and CSR") {
       fb.numEdges
       EffectiveResistance.resistances(fb, 2000)
@@ -105,10 +107,22 @@ class GraphValueSpec extends SparkSpec {
     assert(rCycle.length === 4 && rCycle.forall(r => math.abs(r - 0.75) < 1e-6))
 
     // no triangles in either graph, so every edge has zero common neighbours
-    val sPath = SimilarityScores.forGraph(path).collect()
-    val sCycle = SimilarityScores.forGraph(cycle).collect()
-    assert(sPath.length === 3 && sCycle.length === 4)
-    assert(sCycle.map(r => (r.getLong(0), r.getLong(1))).toSet === Set((0L, 1L), (1L, 2L), (2L, 3L), (0L, 3L)))
-    assert(SimilarityScores.forGraph(path) ne SimilarityScores.forGraph(cycle))
+    val sPath = SimilarityScores.forGraph(path)
+    val sCycle = SimilarityScores.forGraph(cycle)
+    assert(sPath.common.length === 3 && sCycle.common.length === 4)
+    assert((sPath.common ++ sCycle.common).forall(_ == 0))
+    assert(sPath ne sCycle)
+  }
+
+  test("a directed graph is symmetrized once, on the driver: SF and ER-u calls start no job") {
+    tw.numEdges
+    val (_, jobs) = jobsDuring {
+      for (sp <- Seq(Sparsifiers.spanningForest, Sparsifiers.erUnweighted); _ <- 1 to 2)
+        sp(tw, 0.5, seed = 1).numEdges
+    }
+    assert(jobs === 0)
+    val und = GraphOps.symmetrize(tw)
+    assert(GraphOps.symmetrize(tw) eq und)
+    assert(Csr.undirected(tw) eq Csr.fromGraph(und))
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.core.sparsifiers._
 import repro.graphs.Datasets
 import repro.metrics.{Csr, QuadraticForm}
@@ -88,22 +88,21 @@ class SparsifierBehaviorSpec extends SparkSpec {
   }
 
   // ---- similarity-based global sparsifiers ----
+  /** Kept and dropped edges' scores: the smallest kept is at least the largest dropped. */
+  private def assertKeepsTop(h: SparkGraph, score: Array[Double]): Unit = {
+    val (hs, hd, _) = GraphOps.collectEdges(h)
+    val kept = hs.indices.map(i => (hs(i), hd(i))).toSet
+    val (s, d, _) = GraphOps.collectEdges(fb)
+    val (inS, outS) = s.indices.partition(i => kept.contains((s(i), d(i))))
+    assert(inS.map(score).min >= outS.map(score).max - 1e-12)
+  }
+
   test("GS: min kept jaccard ≥ max dropped jaccard") {
-    val h = Sparsifiers.gSpar(fb, 0.5, 0)
-    val kept = h.edges.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val scores = SimilarityScores.forGraph(fb).collect()
-      .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(6)))
-    val (inS, outS) = scores.partition(e => kept.contains(e._1))
-    assert(inS.map(_._2).min >= outS.map(_._2).max - 1e-12)
+    assertKeepsTop(Sparsifiers.gSpar(fb, 0.5, 0), SimilarityScores.forGraph(fb).jaccard)
   }
 
   test("SCAN: min kept scan score ≥ max dropped scan score") {
-    val h = Sparsifiers.scan(fb, 0.5, 0)
-    val kept = h.edges.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val scores = SimilarityScores.forGraph(fb).collect()
-      .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(7)))
-    val (inS, outS) = scores.partition(e => kept.contains(e._1))
-    assert(inS.map(_._2).min >= outS.map(_._2).max - 1e-12)
+    assertKeepsTop(Sparsifiers.scan(fb, 0.5, 0), SimilarityScores.forGraph(fb).scan)
   }
 
   // ---- Local Degree hub bias ----
@@ -115,6 +114,38 @@ class SparsifierBehaviorSpec extends SparkSpec {
     val hubKeep = hubs.map(v => degH(v).toDouble / degO(v)).sum / hubs.size
     val overall = 1.0 - 0.7
     assert(hubKeep > overall, f"hub keep rate $hubKeep%.2f not above overall ${overall}%.2f")
+  }
+
+  test("LD: edges into a directed graph's sinks can be kept") {
+    // 2's only out-neighbour is the sink 3, so 2→3 is 2's rank-1 edge
+    val path = GraphOps.fromPairs(spark, "path-dir", Seq((0, 1), (1, 2), (2, 3)), directed = true, 4)
+    val h = Sparsifiers.localDegree(path, 0.1, 0)
+    assert(h.numEdges === 3) // round(0.9 · 3): achieved ρ 0, the target's nearest
+  }
+
+  test("LD: rank exponents match DuckDB oracle") {
+    import spark.implicits._
+    for (g <- Seq(Datasets.get(spark, "ca-HepPh", 0.08), Datasets.get(spark, "ego-Twitter", 0.05))) {
+      val (s, d, _) = GraphOps.collectEdges(g)
+      val out = Csr.fromGraph(g, symmetric = false)
+      assert(!g.directed || d.exists(out.degree(_) == 0), "the directed input should have a sink")
+      val exp = new LocalDegree().exponents(g)
+      val reverse = if (g.directed) "" else "UNION ALL SELECT dst AS u, src AS v FROM e"
+      val (lo, hi) = if (g.directed) ("u", "v") else ("LEAST(u, v)", "GREATEST(u, v)")
+      Oracle.assertEquivalent(
+        s.indices.map(i => (s(i).toLong, d(i).toLong, exp(i))).toDF("src", "dst", "minexp"),
+        s"""WITH e AS (SELECT CAST(src AS BIGINT) AS src, CAST(dst AS BIGINT) AS dst FROM edges),
+           |arcs AS (SELECT src AS u, dst AS v FROM e $reverse),
+           |deg AS (SELECT u AS v, COUNT(*) AS d FROM arcs GROUP BY u),
+           |ranked AS (
+           |  SELECT a.u, a.v, du.d AS degu,
+           |    ROW_NUMBER() OVER (PARTITION BY a.u ORDER BY COALESCE(dv.d, 0) DESC, a.v) AS rnk
+           |  FROM arcs a JOIN deg du ON du.v = a.u LEFT JOIN deg dv ON dv.v = a.v)
+           |SELECT $lo AS src, $hi AS dst,
+           |  MIN(CASE WHEN rnk = 1 THEN 0.0 ELSE LN(rnk) / LN(degu) END) AS minexp
+           |FROM ranked GROUP BY 1, 2""".stripMargin,
+        "edges" -> g.edges)
+    }
   }
 
   // ---- Random uniformity ----
