@@ -21,7 +21,7 @@ import repro.metrics.Csr
   *
   * A graph is one fixed value, and its edges reach the driver at most once:
   *   - built from a DataFrame plan ([[SparkGraph.apply]]: the datasets and
-  *     the RN/KN samplers), it runs that plan once, on the first call to
+  *     the Random sampler), it runs that plan once, on the first call to
   *     `numEdges`, [[GraphOps.collectEdges]] or `Csr.fromGraph`, and keeps
   *     the rows in the plan's collect order;
   *   - built from canonical driver arrays ([[SparkGraph.fromCanonical]]:
@@ -147,15 +147,6 @@ object GraphOps {
         greatest(col("src"), col("dst")) as "dst",
         col("weight"))
     oriented.groupBy("src", "dst").agg(max("weight") as "weight")
-  }
-
-  /** Arc view: one row per directed arc. Undirected edges appear in both
-    * directions; directed edges appear as stored. Columns (u, v, weight).
-    */
-  def arcs(g: SparkGraph): DataFrame = {
-    val fwd = g.edges.select(col("src") as "u", col("dst") as "v", col("weight"))
-    if (g.directed) fwd
-    else fwd.union(g.edges.select(col("dst") as "u", col("src") as "v", col("weight")))
   }
 
   /** Undirected version of a directed graph (paper §3.1 step 2), the

@@ -1,44 +1,45 @@
 package repro.core.sparsifiers
 
+import java.util.SplittableRandom
 import repro.core.{GraphOps, PruneRateControl, SparkGraph, Sparsifier}
 import repro.metrics.Csr
 
-/** The shared steps of the score-and-sort sparsifiers (LD, LSim, LS, GS,
-  * SCAN), on the graph's driver arrays: score every edge once, keep the best.
+/** The shared steps of the rank-and-keep sparsifiers (KN, LD, LSim, LS,
+  * GS, SCAN), on the graph's driver arrays: score every edge once, keep the
+  * best.
   */
 private[core] object EdgeRanking {
 
-  /** Per-edge MIN over its arcs u→v of log(rank)/log(deg(u)), where rank is
-    * the arc's position among u's arcs in the arcs view (out-arcs for
-    * directed graphs) by `order(v, edge index)` descending, ties by
-    * neighbour id — the Local-Degree/L-Spar/Local-Similarity "keep while
-    * rank ≤ deg^α" exponent. Rank 1 maps to exponent 0, so each vertex's
-    * best edge is always kept first (the ≥1-edge guarantee). `StrictMath`
-    * gives the same bits on every JVM, so which exponents tie (ties are
-    * broken by (src, dst) downstream) does not depend on the platform.
+  /** The ranked-arc pass: per-edge MIN over its arcs u→v of
+    * `score(rank, deg(u))`, where rank (from 1) is the arc's position among
+    * u's arcs in the arcs view (out-arcs for directed graphs) by
+    * `order(u, v, edge index)` descending, ties by neighbour id. Each order
+    * value is computed once per arc.
     */
-  def rankExponent(g: SparkGraph, order: (Int, Int) => Double): Array[Double] = {
+  def rankArcs(g: SparkGraph, order: (Int, Int, Int) => Double, score: (Int, Int) => Double): Array[Double] = {
     val c = Csr.fromGraph(g, symmetric = false)
-    val exp = Array.fill(g.numEdges.toInt)(Double.PositiveInfinity)
-    var u = 0
-    while (u < c.n) {
-      val logDeg = StrictMath.log(c.degree(u))
-      val ranked = (c.offsets(u) until c.offsets(u + 1)).sortWith { (a, b) =>
-        val oa = order(c.nbrs(a), c.arcEdge(a))
-        val ob = order(c.nbrs(b), c.arcEdge(b))
-        oa > ob || (oa == ob && c.nbrs(a) < c.nbrs(b))
-      }
-      var r = 0
-      while (r < ranked.length) {
+    val key = new Array[Double](c.nbrs.length)
+    val best = Array.fill(g.numEdges.toInt)(Double.PositiveInfinity)
+    for (u <- 0 until c.n) {
+      val arcs = c.offsets(u) until c.offsets(u + 1)
+      arcs.foreach(a => key(a) = order(u, c.nbrs(a), c.arcEdge(a)))
+      val ranked = arcs.sortWith((a, b) => key(a) > key(b) || (key(a) == key(b) && c.nbrs(a) < c.nbrs(b)))
+      for (r <- ranked.indices) {
         val e = c.arcEdge(ranked(r))
-        val x = if (r == 0) 0.0 else StrictMath.log(r + 1) / logDeg
-        if (x < exp(e)) exp(e) = x
-        r += 1
+        best(e) = math.min(best(e), score(r + 1, ranked.length))
       }
-      u += 1
     }
-    exp
+    best
   }
+
+  /** The Local-Degree/L-Spar/Local-Similarity "keep while rank ≤ deg^α"
+    * exponent log(rank)/log(deg). Rank 1 maps to 0, so each vertex's best
+    * edge is always kept first (the ≥1-edge guarantee). `StrictMath` gives
+    * the same bits on every JVM, so which exponents tie (ties are broken by
+    * (src, dst) downstream) does not depend on the platform.
+    */
+  val logExponent: (Int, Int) => Double =
+    (rank, deg) => if (rank == 1) 0.0 else StrictMath.log(rank) / StrictMath.log(deg)
 
   /** The `k` edges with the smallest `score` (indexed like
     * [[GraphOps.collectEdges]]), ties broken canonically by (src, dst) so
@@ -54,16 +55,52 @@ private[core] object EdgeRanking {
       g.directed, g.weighted, g.numVertices)
   }
 
-  /** Given (level, #edges at that level) pairs, the smallest level L such
-    * that #edges(level ≤ L) ≥ target — the coarse-grained prune-rate
-    * alignment used by K-Neighbor and L-Spar (§3.2 item 1). The largest
-    * level if no level reaches the target.
+  /** The coarse-grained prune-rate alignment of K-Neighbor and L-Spar
+    * (§3.2 item 1): given each edge's level, the smallest level L with
+    * #edges(level ≤ L) ≥ target, i.e. the `target`-th smallest level (the
+    * largest level if there are fewer edges).
     */
-  def levelForTarget(counts: Seq[(Long, Long)], target: Long): Long = {
-    val sorted = counts.sortBy(_._1)
-    val cum = sorted.scanLeft(0L)(_ + _._2).tail
-    sorted.zip(cum).collectFirst { case ((lvl, _), c) if c >= target => lvl }
-      .orElse(sorted.lastOption.map(_._1)).getOrElse(1L)
+  def levelForTarget(levels: Array[Double], target: Int): Double = {
+    val sorted = levels.sorted(Ordering.Double.TotalOrdering)
+    sorted.lift(math.min(target, sorted.length) - 1).getOrElse(0.0)
+  }
+}
+
+/** K-Neighbor (§2.3.2): every vertex samples up to k of its arcs with
+  * probability proportional to edge weight (A-Res weighted reservoir keys,
+  * Efraimidis & Spirakis); the kept set is the union over vertices, and k is
+  * aligned to the target prune rate (coarse control). Each arc's key is a
+  * pure function of (seed, u, v, weight), so the kept set depends only on
+  * the edge set and the seed. On an undirected graph every non-isolated
+  * vertex keeps ≥1 edge; a directed graph's vertices rank only their
+  * out-arcs, so a sink can lose every in-edge.
+  */
+final class KNeighbor extends Sparsifier {
+  val name = "K-Neighbor"; val abbrev = "KN"
+  val supportsDirected = true
+  val pruneRateControl = PruneRateControl.Coarse
+  val deterministic = false
+
+  def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
+    val lvls = levels(g, seed)
+    val k = EdgeRanking.levelForTarget(lvls, keepCount(g.numEdges, rho))
+    EdgeRanking.keepSmallest(g, lvls, lvls.count(_ <= k), s"KN-$rho-$seed")
+  }
+
+  /** Each edge's level: the smallest rank of its arcs by A-Res key. */
+  private[core] def levels(g: SparkGraph, seed: Long): Array[Double] = {
+    val w = GraphOps.collectEdges(g)._3
+    EdgeRanking.rankArcs(g, (u, v, e) => key(seed, u, v, w(e)), (rank, _) => rank.toDouble)
+  }
+
+  /** The A-Res key of arc u→v of weight w, x^(1/w) for a draw x in [0, 1)
+    * fixed by (seed, u, v): the v-th draw of the SplitMix64 stream seeded by
+    * the u-th draw of the stream seeded by `seed`. Larger keys win.
+    */
+  private[core] def key(seed: Long, u: Int, v: Int, w: Double): Double = {
+    val gamma = 0x9e3779b97f4a7c15L // SplitMix64's stream increment
+    val x = new SplittableRandom(new SplittableRandom(seed + u * gamma).nextLong() + v * gamma).nextDouble()
+    StrictMath.pow(x, 1.0 / w)
   }
 }
 
@@ -72,7 +109,8 @@ private[core] object EdgeRanking {
   * per-edge score min_u log(rank_u)/log(deg(u)) and a global sort, which
   * gives fine-grained prune-rate control while preserving the per-vertex
   * ≥1-edge guarantee (rank-1 arcs score 0). Degrees are out-degrees on
-  * directed graphs, so a sink ranks last, with degree 0.
+  * directed graphs, so a sink ranks last, with degree 0, and, ranking no
+  * arcs of its own, has no guarantee.
   */
 final class LocalDegree extends Sparsifier {
   val name = "Local Degree"; val abbrev = "LD"
@@ -86,7 +124,7 @@ final class LocalDegree extends Sparsifier {
   /** Each edge's rank exponent by neighbour degree. */
   private[core] def exponents(g: SparkGraph): Array[Double] = {
     val c = Csr.fromGraph(g, symmetric = false)
-    EdgeRanking.rankExponent(g, (v, _) => c.degree(v))
+    EdgeRanking.rankArcs(g, (_, v, _) => c.degree(v), EdgeRanking.logExponent)
   }
 }
 
@@ -101,7 +139,7 @@ final class LocalSimilarity extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val jaccard = SimilarityScores.forGraph(g).jaccard
-    EdgeRanking.keepSmallest(g, EdgeRanking.rankExponent(g, (_, e) => jaccard(e)),
+    EdgeRanking.keepSmallest(g, EdgeRanking.rankArcs(g, (_, _, e) => jaccard(e), EdgeRanking.logExponent),
       keepCount(g.numEdges, rho), s"LSim-$rho")
   }
 }
@@ -117,12 +155,11 @@ final class LSpar extends Sparsifier {
   val deterministic = true
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
-    val target = keepCount(g.numEdges, rho).toLong
     val jaccard = SimilarityScores.forGraph(g).jaccard
-    val exps = EdgeRanking.rankExponent(g, (_, e) => jaccard(e))
+    val exps = EdgeRanking.rankArcs(g, (_, _, e) => jaccard(e), EdgeRanking.logExponent)
     // grid of c values with step 0.02: edge kept iff minExp ≤ c
-    val lvls = exps.map(x => math.ceil(x / 0.02).toLong)
-    val lvl = EdgeRanking.levelForTarget(lvls.groupMapReduce(identity)(_ => 1L)(_ + _).toSeq, target)
+    val lvls = exps.map(x => math.ceil(x / 0.02))
+    val lvl = EdgeRanking.levelForTarget(lvls, keepCount(g.numEdges, rho))
     // levels grow with the exponent, so the kept level set is a prefix of
     // the exponent order
     EdgeRanking.keepSmallest(g, exps, lvls.count(_ <= lvl), s"LS-$rho")

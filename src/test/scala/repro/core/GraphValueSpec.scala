@@ -75,9 +75,9 @@ class GraphValueSpec extends SparkSpec {
     assert(scores(h) === scores(copy))
   }
 
-  for (sp <- Seq(Sparsifiers.rankDegree, Sparsifiers.spanningForest, Sparsifiers.erWeighted,
-      Sparsifiers.localDegree, Sparsifiers.localSimilarity, Sparsifiers.lSpar, Sparsifiers.gSpar,
-      Sparsifiers.scan)) {
+  for (sp <- Seq(Sparsifiers.kNeighbor, Sparsifiers.rankDegree, Sparsifiers.spanningForest,
+      Sparsifiers.erWeighted, Sparsifiers.localDegree, Sparsifiers.localSimilarity, Sparsifiers.lSpar,
+      Sparsifiers.gSpar, Sparsifiers.scan)) {
     test(s"${sp.abbrev} output starts no job for its edge count and CSR") {
       fb.numEdges
       EffectiveResistance.resistances(fb, 2000)

@@ -22,7 +22,13 @@ class SparsifierBehaviorSpec extends SparkSpec {
   private def isolatedAfter(g: SparkGraph, h: SparkGraph): Int =
     degrees(h).count(_ == 0) - degrees(g).count(_ == 0)
 
-  // ---- K-Neighbor / Local Degree / local similarity: ≥1 edge per vertex ----
+  private def keptPairs(h: SparkGraph): Set[(Int, Int)] = {
+    val (s, d, _) = GraphOps.collectEdges(h)
+    s.indices.map(i => (s(i), d(i))).toSet
+  }
+
+  // ---- K-Neighbor / Local Degree / local similarity: ≥1 edge per vertex
+  // of an undirected graph ----
   for (sp <- Seq(Sparsifiers.kNeighbor, Sparsifiers.localDegree,
                  Sparsifiers.localSimilarity, Sparsifiers.lSpar))
     test(s"${sp.abbrev}: creates no isolated vertices at moderate prune rates") {
@@ -31,10 +37,56 @@ class SparsifierBehaviorSpec extends SparkSpec {
     }
 
   test("KN: per-vertex cap — kept degree ≤ selection level bound holds at high rho") {
-    val h = Sparsifiers.kNeighbor(fb, 0.8, seed = 2)
-    // with K-Neighbor, max kept degree can exceed k (a hub may be picked by
-    // many neighbours) but every vertex must keep at least one edge
+    val kn = new KNeighbor
+    val h = kn(fb, 0.8, seed = 2)
+    val lvls = kn.levels(fb, seed = 2)
+    // the kept set is exactly the edges some endpoint ranks ≤ k, k the
+    // smallest level whose cumulative count meets the target
+    val target = math.round((1.0 - 0.8) * fb.numEdges)
+    val k = lvls.distinct.sorted.find(l => lvls.count(_ <= l) >= target).get
+    val (s, d, _) = GraphOps.collectEdges(fb)
+    assert(keptPairs(h) === s.indices.filter(lvls(_) <= k).map(i => (s(i), d(i))).toSet)
     assert(isolatedAfter(fb, h) === 0)
+  }
+
+  test("KN: a directed graph's sinks can lose every in-edge (vertices rank out-arcs only)") {
+    // 0→{1,2,3}: only 0 ranks arcs, so its levels are 1, 2, 3 and one edge is kept
+    val star = GraphOps.fromPairs(spark, "out-star", Seq((0, 1), (0, 2), (0, 3)), directed = true, 4)
+    for (seed <- 0L to 4L) {
+      val h = Sparsifiers.kNeighbor(star, 0.6, seed)
+      assert(h.numEdges === 1)
+      assert(isolatedAfter(star, h) === 2)
+    }
+  }
+
+  test("KN: the same edges in another order keep the same set") {
+    val (s, d, w) = GraphOps.collectEdges(fb)
+    val reversed = SparkGraph.fromCanonical(spark, "fb-reversed", s.reverse, d.reverse, w.reverse,
+      fb.directed, fb.weighted, fb.numVertices)
+    for (rho <- Seq(0.3, 0.7))
+      assert(keptPairs(Sparsifiers.kNeighbor(reversed, rho, seed = 7)) ===
+        keptPairs(Sparsifiers.kNeighbor(fb, rho, seed = 7)))
+  }
+
+  test("KN: levels match DuckDB oracle") {
+    import spark.implicits._
+    val kn = new KNeighbor
+    for (g <- Seq(Datasets.get(spark, "ca-HepPh", 0.08), Datasets.get(spark, "ego-Twitter", 0.05))) {
+      val (s, d, w) = GraphOps.collectEdges(g)
+      val lvls = kn.levels(g, seed = 5)
+      val arcs = s.indices.flatMap { i =>
+        val fwd = (s(i).toLong, d(i).toLong, kn.key(5, s(i), d(i), w(i)))
+        if (g.directed) Seq(fwd) else Seq(fwd, (d(i).toLong, s(i).toLong, kn.key(5, d(i), s(i), w(i))))
+      }
+      val (lo, hi) = if (g.directed) ("u", "v") else ("LEAST(u, v)", "GREATEST(u, v)")
+      Oracle.assertEquivalent(
+        s.indices.map(i => (s(i).toLong, d(i).toLong, lvls(i).toLong)).toDF("src", "dst", "lvl"),
+        s"""WITH a AS (SELECT CAST(u AS BIGINT) AS u, CAST(v AS BIGINT) AS v,
+           |                  CAST(key AS DOUBLE) AS key FROM arcs),
+           |ranked AS (SELECT u, v, ROW_NUMBER() OVER (PARTITION BY u ORDER BY key DESC, v) AS rnk FROM a)
+           |SELECT $lo AS src, $hi AS dst, MIN(rnk) AS lvl FROM ranked GROUP BY 1, 2""".stripMargin,
+        "arcs" -> arcs.toDF("u", "v", "key"))
+    }
   }
 
   // ---- Spanning Forest ----
@@ -90,8 +142,7 @@ class SparsifierBehaviorSpec extends SparkSpec {
   // ---- similarity-based global sparsifiers ----
   /** Kept and dropped edges' scores: the smallest kept is at least the largest dropped. */
   private def assertKeepsTop(h: SparkGraph, score: Array[Double]): Unit = {
-    val (hs, hd, _) = GraphOps.collectEdges(h)
-    val kept = hs.indices.map(i => (hs(i), hd(i))).toSet
+    val kept = keptPairs(h)
     val (s, d, _) = GraphOps.collectEdges(fb)
     val (inS, outS) = s.indices.partition(i => kept.contains((s(i), d(i))))
     assert(inS.map(score).min >= outS.map(score).max - 1e-12)

@@ -21,17 +21,20 @@ class PageRankSpec extends SparkSpec {
   }
 
   /** One power step from the uniform vector, recomputed in SQL over the
-    * graph's arcs: n·pr₁(v) = (1−d) + d·Σ_{u→v} w_uv / outw(u) + d·#dangling/n.
+    * graph's arcs (an undirected edge in both directions):
+    * n·pr₁(v) = (1−d) + d·Σ_{u→v} w_uv / outw(u) + d·#dangling/n.
     * Compared as n·pr so the oracle's six decimals are significant.
     */
   private def assertOneStep(g: SparkGraph): Unit = {
     import spark.implicits._
     val n = g.numVertices.toInt
     val pr = Centrality.pagerank(g, iters = 1)
+    val reverse = if (g.directed) "" else "UNION ALL SELECT dst AS u, src AS v, w FROM e"
     Oracle.assertEquivalent(
       pr.indices.map(v => (v.toLong, n * pr(v))).toDF("v", "npr"),
-      """WITH a AS (SELECT CAST(u AS BIGINT) AS u, CAST(v AS BIGINT) AS v,
-        |                  CAST(weight AS DOUBLE) AS w FROM arcs),
+      s"""WITH e AS (SELECT CAST(src AS BIGINT) AS src, CAST(dst AS BIGINT) AS dst,
+        |                  CAST(weight AS DOUBLE) AS w FROM edges),
+        |     a AS (SELECT src AS u, dst AS v, w FROM e $reverse),
         |     outw AS (SELECT u, SUM(w) AS ow FROM a GROUP BY u),
         |     inflow AS (SELECT a.v, SUM(a.w / outw.ow) AS f
         |                FROM a JOIN outw ON a.u = outw.u GROUP BY a.v),
@@ -41,7 +44,7 @@ class PageRankSpec extends SparkSpec {
         |SELECT vx.v AS v,
         |       CAST(0.15 AS DOUBLE) + 0.85 * COALESCE(inflow.f, 0.0) + 0.85 * dang.nd / (SELECT COUNT(*) FROM vx) AS npr
         |FROM vx LEFT JOIN inflow ON vx.v = inflow.v CROSS JOIN dang""".stripMargin,
-      "arcs" -> GraphOps.arcs(g), "vs" -> spark.range(n).toDF("v"))
+      "edges" -> g.edges, "vs" -> spark.range(n).toDF("v"))
   }
 
   test("pagerank of an undirected triangle is uniform") {
