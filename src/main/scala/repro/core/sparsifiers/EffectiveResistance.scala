@@ -29,11 +29,8 @@ final class EffectiveResistance(reweight: Boolean) extends Sparsifier {
   override val changesWeights = reweight
   val deterministic = false
 
-  /** Max vertices for the dense solve; our datasets stay well below this. */
-  private val maxN = 6000
-
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
-    val (src, dst, wt, r) = EffectiveResistance.resistances(g, maxN)
+    val (src, dst, wt, r) = EffectiveResistance.resistances(g, EffectiveResistance.MaxDenseN)
     val m = src.length
     val target = keepCount(m, rho)
 
@@ -64,6 +61,9 @@ final class EffectiveResistance(reweight: Boolean) extends Sparsifier {
 }
 
 object EffectiveResistance {
+
+  /** Max vertices for the dense solve; our datasets stay well below this. */
+  val MaxDenseN = 6000
 
   /** Cache of exact resistances keyed by graph content: (src, dst, w, R).
     * The dense inverse is the expensive one-time cost the paper also

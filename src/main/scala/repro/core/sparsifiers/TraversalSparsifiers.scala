@@ -135,7 +135,7 @@ final class SpanningForest extends Sparsifier {
 
 /** Greedy t-Spanner (§2.3.6, Althöfer et al.): scan edges in weight order;
   * add (u,v,w) iff the current spanner distance d_H(u,v) exceeds t·w
-  * (bounded Dijkstra/BFS). Guarantees d_H(u,v) ≤ t·d_G(u,v) for all pairs
+  * (bounded Dijkstra). Guarantees d_H(u,v) ≤ t·d_G(u,v) for all pairs
   * and preserves connectivity exactly. Prune rate is fixed by t.
   */
 final class TSpanner(val t: Int = 3) extends Sparsifier {

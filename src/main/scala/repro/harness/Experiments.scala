@@ -2,6 +2,7 @@ package repro.harness
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{Sparsifier, Sparsifiers => S}
+import repro.core.sparsifiers.{EffectiveResistance, SimilarityScores}
 import repro.graphs.Datasets
 import repro.metrics._
 
@@ -230,12 +231,11 @@ object Experiments {
     // computation time of the effective resistance because it is a one-time
     // cost" — warm the caches so timings match that accounting (TimingBench
     // measures the one-time costs separately).
-    repro.core.sparsifiers.EffectiveResistance.resistances(g, 6000)
-    repro.core.sparsifiers.SimilarityScores.forGraph(g)
+    EffectiveResistance.resistances(g, EffectiveResistance.MaxDenseN)
+    SimilarityScores.forGraph(g)
     val sps = S.all
     val rows = sps.map { sp =>
-      val targetRhos = if (sp.pruneRateControl == repro.core.PruneRateControl.NoControl) Seq(0.5) else cfg.rhos
-      val cells = targetRhos.map { rho =>
+      val cells = Sweep.targetRhos(sp, cfg.rhos).map { rho =>
         val t0 = System.nanoTime()
         val h = sp(g, rho, seed = 7)
         val m = h.numEdges // force execution

@@ -17,6 +17,13 @@ final case class SweepRow(sparsifier: Sparsifier, cells: Seq[Cell])
   */
 object Sweep {
 
+  /** The prune rates `sp` runs at: the grid, or for a sparsifier with no
+    * prune-rate control (Spanning Forest, t-Spanner) one cell at its
+    * intrinsic rate, filed under ρ = 0.5 (§3.2 item 1).
+    */
+  def targetRhos(sp: Sparsifier, rhos: Seq[Double]): Seq[Double] =
+    if (sp.pruneRateControl == PruneRateControl.NoControl) Seq(0.5) else rhos
+
   def run(
       g: SparkGraph,
       sparsifiers: Seq[Sparsifier],
@@ -36,8 +43,7 @@ object Sweep {
     val m = g.numEdges
     var nMetrics = -1
     val perSparsifier = sparsifiers.map { sp =>
-      val targetRhos = if (sp.pruneRateControl == PruneRateControl.NoControl) Seq(0.5) else rhos
-      val cells = targetRhos.map { rho =>
+      val cells = targetRhos(sp, rhos).map { rho =>
         val nRuns = if (sp.deterministic) 1 else seeds
         val results = (0 until nRuns).map { s =>
           val h = sp(g, rho, seed = 1000L * s + 7)
@@ -81,8 +87,8 @@ object Fmt {
     sb ++= ("sparsifier".padTo(16, ' ') + rhos.map(r => f"rho=$r%.1f".padTo(14, ' ')).mkString + "\n")
     rows.foreach { row =>
       sb ++= row.sparsifier.abbrev.padTo(16, ' ')
-      if (row.cells.length == 1 && row.cells.head.rho == 0.5 &&
-          row.sparsifier.pruneRateControl == repro.core.PruneRateControl.NoControl) {
+      // a single cell where the rule gives one, whatever the grid
+      if (row.cells.nonEmpty && row.cells.map(_.rho) == Sweep.targetRhos(row.sparsifier, Nil)) {
         val c = row.cells.head
         sb ++= f"${fmtD(c.mean)} @achieved-rho=${c.achievedRho}%.2f (fixed)"
       } else {

@@ -1,6 +1,5 @@
 package repro.metrics
 
-import scala.collection.mutable
 import repro.core.SparkGraph
 
 /** Centrality metrics (§2.2.3), PageRank (§2.2.5) and the top-k precision
@@ -15,39 +14,46 @@ import repro.core.SparkGraph
   */
 object Centrality {
 
-  /** Exact Brandes betweenness on the undirected simple (symmetrized) graph. */
+  /** Exact Brandes betweenness on the undirected simple (symmetrized) graph.
+    * The forward pass is the BFS kernel plus a σ pass in visit order; the
+    * backward pass walks that order in reverse and finds each vertex's
+    * predecessors by re-scanning its CSR row for neighbours one hop closer,
+    * so every δ term is still added in stack-pop order.
+    */
   def betweenness(g: SparkGraph): Array[Double] = {
     val c = Csr.undirected(g)
-    val n = c.n
-    val bc = new Array[Double](n)
-    val sigma = new Array[Double](n)
-    val dist = new Array[Int](n)
-    val delta = new Array[Double](n)
-    val preds = Array.fill(n)(new mutable.ArrayBuffer[Int](4))
-    val stack = new Array[Int](n)
+    val (off, nbrs) = (c.offsets, c.nbrs)
+    val bc = new Array[Double](c.n)
+    val sigma = new Array[Double](c.n)
+    val delta = new Array[Double](c.n)
+    val b = new Csr.Bfs(c.n)
+    val (dist, order) = (b.dist, b.order)
     var s = 0
-    while (s < n) {
-      if (c.degree(s) > 0) {
-        java.util.Arrays.fill(sigma, 0.0); java.util.Arrays.fill(dist, -1)
-        java.util.Arrays.fill(delta, 0.0)
-        var i = 0; while (i < n) { preds(i).clear(); i += 1 }
-        var top = 0
-        sigma(s) = 1.0; dist(s) = 0
-        val q = new java.util.ArrayDeque[Integer](); q.add(s)
-        while (!q.isEmpty) {
-          val u = q.poll().intValue()
-          stack(top) = u; top += 1
-          c.foreachNbr(u) { (v, _) =>
-            if (dist(v) < 0) { dist(v) = dist(u) + 1; q.add(v) }
-            if (dist(v) == dist(u) + 1) { sigma(v) += sigma(u); preds(v) += u }
-          }
+    while (s < c.n) {
+      c.bfs(s, b)
+      sigma(s) = 1.0
+      val reached = b.reached
+      var k = 0
+      while (k < reached) {
+        val u = order(k)
+        val du = dist(u) + 1; val su = sigma(u); val end = off(u + 1)
+        var i = off(u)
+        while (i < end) { val v = nbrs(i); if (dist(v) == du) sigma(v) += su; i += 1 }
+        k += 1
+      }
+      k = reached
+      while (k > 0) {
+        k -= 1
+        val w = order(k)
+        val dw = dist(w) - 1; val sw = sigma(w); val cw = 1.0 + delta(w); val end = off(w + 1)
+        var i = off(w)
+        while (i < end) {
+          val u = nbrs(i)
+          if (dist(u) == dw) delta(u) += sigma(u) / sw * cw
+          i += 1
         }
-        while (top > 0) {
-          top -= 1
-          val w = stack(top)
-          preds(w).foreach { u => delta(u) += sigma(u) / sigma(w) * (1.0 + delta(w)) }
-          if (w != s) bc(w) += delta(w)
-        }
+        if (w != s) bc(w) += delta(w)
+        sigma(w) = 0.0; delta(w) = 0.0 // w's successors are all popped: clear it for the next source
       }
       s += 1
     }
@@ -57,15 +63,10 @@ object Centrality {
   /** Closeness C(v) = 1/Σ_u d(u,v) over vertices reachable from v. */
   def closeness(g: SparkGraph): Array[Double] = {
     val c = Csr.fromGraph(g, symmetric = true)
+    val paths = new Csr.ShortestPaths(c, g.weighted)
     Array.tabulate(c.n) { v =>
       if (c.degree(v) == 0) 0.0
-      else {
-        val d = c.distances(v, g.weighted)
-        var sum = 0.0
-        var i = 0
-        while (i < c.n) { if (i != v && d(i).isFinite) sum += d(i); i += 1 }
-        if (sum > 0) 1.0 / sum else 0.0
-      }
+      else { val sum = paths.from(v).sum; if (sum > 0) 1.0 / sum else 0.0 }
     }
   }
 

@@ -7,7 +7,8 @@ import repro.core.SparkGraph
   * sequential sparsifiers (Rank Degree, Forest Fire) and every metric
   * (degrees, triangles, BFS/Dijkstra distances, Brandes betweenness, power
   * iterations, Louvain, max-flow). Graphs in this repro are ≤ ~10⁵ edges
-  * (DESIGN.md), so collected arrays are the right tool.
+  * (DESIGN.md), so collected arrays are the right tool. Every unweighted
+  * traversal runs on the one BFS kernel, `bfs(s, scratch)`.
   *
   * Each arc carries the index of the edge it came from (`arcEdge`), so a
   * kept-edge bitset maps straight back to the graph's edge arrays.
@@ -33,22 +34,32 @@ final class Csr(
     while (i < offsets(v + 1)) { f(nbrs(i), arcEdge(i)); i += 1 }
   }
 
-  /** Unweighted BFS distances from `s`; -1 = unreachable. */
-  def bfs(s: Int): Array[Int] = {
-    val dist = Array.fill(n)(-1)
-    dist(s) = 0
-    val q = new java.util.ArrayDeque[Integer](); q.add(s)
-    while (!q.isEmpty) {
-      val u = q.poll().intValue()
-      var i = offsets(u)
-      while (i < offsets(u + 1)) {
+  /** The BFS kernel: hop counts from `s` into `b.dist`, and the reached
+    * vertices in visit order into `b.order`, which doubles as the queue.
+    * Resets only the vertices that `b`'s previous search reached.
+    */
+  def bfs(s: Int, b: Csr.Bfs): Unit = {
+    val dist = b.dist; val order = b.order
+    var i = 0
+    while (i < b.reached) { dist(order(i)) = -1; i += 1 }
+    dist(s) = 0; order(0) = s
+    var head = 0; var tail = 1
+    while (head < tail) {
+      val u = order(head); head += 1
+      val du = dist(u) + 1
+      val end = offsets(u + 1)
+      i = offsets(u)
+      while (i < end) {
         val v = nbrs(i)
-        if (dist(v) < 0) { dist(v) = dist(u) + 1; q.add(v) }
+        if (dist(v) < 0) { dist(v) = du; order(tail) = v; tail += 1 }
         i += 1
       }
     }
-    dist
+    b.reached = tail
   }
+
+  /** Unweighted BFS distances from `s`; -1 = unreachable. */
+  def bfs(s: Int): Array[Int] = { val b = new Csr.Bfs(n); bfs(s, b); b.dist }
 
   /** Weighted shortest-path distances from `s`; Infinity = unreachable. */
   def dijkstra(s: Int): Array[Double] = {
@@ -75,20 +86,14 @@ final class Csr(
   /** Connected-component labels (the CSR must be symmetric). */
   def components(): Array[Int] = {
     val comp = Array.fill(n)(-1)
+    val b = new Csr.Bfs(n)
     var c = 0
     var v = 0
     while (v < n) {
       if (comp(v) < 0) {
-        val q = new java.util.ArrayDeque[Integer](); q.add(v); comp(v) = c
-        while (!q.isEmpty) {
-          val u = q.poll().intValue()
-          var i = offsets(u)
-          while (i < offsets(u + 1)) {
-            val x = nbrs(i)
-            if (comp(x) < 0) { comp(x) = c; q.add(x) }
-            i += 1
-          }
-        }
+        bfs(v, b)
+        var i = 0
+        while (i < b.reached) { comp(b.order(i)) = c; i += 1 }
         c += 1
       }
       v += 1
@@ -98,6 +103,42 @@ final class Csr(
 }
 
 object Csr {
+
+  /** Scratch space of the BFS kernel for graphs of `n` vertices, reused
+    * across sources: `dist` holds hop counts (-1 = not reached) and
+    * `order(0 until reached)` the reached vertices in visit order.
+    */
+  final class Bfs(n: Int) {
+    val dist: Array[Int] = Array.fill(n)(-1)
+    val order: Array[Int] = new Array[Int](n)
+    var reached = 0
+  }
+
+  /** Single-source distances, one source at a time: hop counts through the
+    * BFS kernel on unweighted graphs, Dijkstra on weighted ones.
+    */
+  final class ShortestPaths(c: Csr, weighted: Boolean) {
+    private val b = new Bfs(c.n)
+    private var src = 0
+    private var wd: Array[Double] = null
+
+    def from(s: Int): this.type = { src = s; if (weighted) wd = c.dijkstra(s) else c.bfs(s, b); this }
+
+    /** Distance to `v`; Infinity = unreachable. */
+    def apply(v: Int): Double =
+      if (weighted) wd(v) else if (b.dist(v) < 0) Double.PositiveInfinity else b.dist(v)
+
+    /** The largest finite distance and the smallest vertex id at it. */
+    def farthest: (Double, Int) = {
+      var far = src; var fd = 0.0
+      var v = 0
+      while (v < c.n) { val d = apply(v); if (d.isFinite && d > fd) { fd = d; far = v }; v += 1 }
+      (fd, far)
+    }
+
+    /** Sum of the finite distances, in vertex-id order. */
+    def sum: Double = { var t = 0.0; var v = 0; while (v < c.n) { if (apply(v).isFinite) t += apply(v); v += 1 }; t }
+  }
 
   /** The graph's shared CSR. `symmetric = true` (default) gives the
     * view used by the distance and degree metrics; `false` keeps

@@ -33,6 +33,8 @@ object Distances {
     // Sample distinct sources, BFS once per source, pick random targets.
     val perSource = 10
     val nSources = math.max(1, nPairs / perSource)
+    val dOrig = new Csr.ShortestPaths(co, orig.weighted)
+    val dSpar = new Csr.ShortestPaths(cs, spar.weighted)
     var stretchSum = 0.0; var reached = 0; var lost = 0
     var s = 0
     while (s < nSources) {
@@ -40,8 +42,7 @@ object Distances {
       val ci = cum.indexWhere(_ > draw)
       val compVs = byComp(ci)
       val u = compVs(rng.nextInt(compVs.size))
-      val dOrig = co.distances(u, orig.weighted)
-      val dSpar = cs.distances(u, spar.weighted)
+      dOrig.from(u); dSpar.from(u)
       var t = 0
       while (t < perSource) {
         val v = compVs(rng.nextInt(compVs.size))
@@ -61,10 +62,8 @@ object Distances {
   }
 
   /** Eccentricity of `v` within its component: max finite distance. */
-  def eccentricity(c: Csr, v: Int, weighted: Boolean): Double = {
-    val d = c.distances(v, weighted).filter(_.isFinite)
-    if (d.isEmpty) 0.0 else d.max
-  }
+  def eccentricity(c: Csr, v: Int, weighted: Boolean): Double =
+    new Csr.ShortestPaths(c, weighted).from(v).farthest._1
 
   /** Mean eccentricity stretch over sampled non-isolated sources; sources
     * isolated in the sparsified graph are excluded and reported (Fig 4b's
@@ -76,13 +75,15 @@ object Distances {
     val rng = new Random(seed)
     val candidates = (0 until co.n).filter(co.degree(_) > 0)
     if (candidates.isEmpty) return StretchResult(Double.NaN, 1.0, 0)
+    val dOrig = new Csr.ShortestPaths(co, orig.weighted)
+    val dSpar = new Csr.ShortestPaths(cs, spar.weighted)
     var sum = 0.0; var used = 0; var isolated = 0
     (0 until nSources).foreach { _ =>
       val v = candidates(rng.nextInt(candidates.size))
       if (cs.degree(v) == 0) isolated += 1
       else {
-        val eo = eccentricity(co, v, orig.weighted)
-        val es = eccentricity(cs, v, spar.weighted)
+        val eo = dOrig.from(v).farthest._1
+        val es = dSpar.from(v).farthest._1
         if (eo > 0) { sum += es / eo; used += 1 }
       }
     }
@@ -98,18 +99,13 @@ object Distances {
     val rng = new Random(seed)
     val candidates = (0 until c.n).filter(c.degree(_) > 0)
     if (candidates.isEmpty) return 0.0
+    val paths = new Csr.ShortestPaths(c, g.weighted)
     val results = (0 until nSeeds).map { _ =>
       var v = candidates(rng.nextInt(candidates.size))
       var best = 0.0
       var it = 0
       while (it < 4) {
-        val d = c.distances(v, g.weighted)
-        var far = v; var fd = 0.0
-        var i = 0
-        while (i < c.n) {
-          if (d(i).isFinite && d(i) > fd) { fd = d(i); far = i }
-          i += 1
-        }
+        val (fd, far) = paths.from(v).farthest
         if (fd > best) best = fd
         v = far
         it += 1

@@ -101,6 +101,40 @@ class PropertySpec extends SparkSpec {
     }
   }
 
+  test("betweenness matches brute-force pair counting (20 random graphs)") {
+    val rng = new Random(11)
+    (0 until 20).foreach { it =>
+      val n = 3 + rng.nextInt(10)
+      val edges = Seq.fill(2 * n)((rng.nextInt(n), rng.nextInt(n))).filter(e => e._1 != e._2)
+      val g = GraphOps.fromPairs(spark, s"prop-bc-$it", edges, directed = it % 2 == 1, n)
+      // all-pairs BFS hop counts d and shortest-path counts σ on the simple undirected graph
+      val adj = Array.tabulate(n)(v => edges.collect { case (a, b) if a == v => b; case (a, b) if b == v => a }.distinct)
+      val d = Array.fill(n, n)(-1)
+      val sigma = Array.fill(n, n)(0.0)
+      (0 until n).foreach { s =>
+        d(s)(s) = 0; sigma(s)(s) = 1.0
+        var frontier = Seq(s)
+        while (frontier.nonEmpty) {
+          val next = for (u <- frontier; v <- adj(u) if d(s)(v) < 0 || d(s)(v) == d(s)(u) + 1) yield {
+            if (d(s)(v) < 0) d(s)(v) = d(s)(u) + 1
+            sigma(s)(v) += sigma(s)(u)
+            v
+          }
+          frontier = next.distinct
+        }
+      }
+      val bc = Centrality.betweenness(g)
+      (0 until n).foreach { v =>
+        val expected = (for {
+          s <- 0 until n; t <- 0 until n
+          if s != v && t != v && s != t && d(s)(t) > 0 && d(s)(v) >= 0 && d(v)(t) >= 0
+          if d(s)(v) + d(v)(t) == d(s)(t)
+        } yield sigma(s)(v) * sigma(v)(t) / sigma(s)(t)).sum
+        assert(math.abs(bc(v) - expected) < 1e-9, s"graph $it vertex $v")
+      }
+    }
+  }
+
   test("max-flow is symmetric on undirected graphs (10 random graphs)") {
     val rng = new Random(8)
     (0 until 10).foreach { it =>
