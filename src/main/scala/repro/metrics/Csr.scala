@@ -7,8 +7,8 @@ import repro.core.SparkGraph
   * sequential sparsifiers (Rank Degree, Forest Fire) and every metric
   * (degrees, triangles, BFS/Dijkstra distances, Brandes betweenness, power
   * iterations, Louvain, max-flow). Graphs in this repro are ≤ ~10⁵ edges
-  * (DESIGN.md), so collected arrays are the right tool. Every unweighted
-  * traversal runs on the one BFS kernel, `bfs(s, scratch)`.
+  * (DESIGN.md), so collected arrays are the right tool. Every metric's
+  * unweighted traversal runs on the one BFS kernel, `bfs(s, scratch)`.
   *
   * Each arc carries the index of the edge it came from (`arcEdge`), so a
   * kept-edge bitset maps straight back to the graph's edge arrays.
