@@ -1,17 +1,19 @@
 package repro.core.sparsifiers
 
-import breeze.linalg.{inv, DenseMatrix}
+import java.util.concurrent.ForkJoinPool
 import scala.collection.concurrent.TrieMap
 import scala.util.Random
-import repro.core.{GraphOps, PruneRateControl, SparkGraph, Sparsifier}
+import repro.core.{DriverPool, GraphOps, PruneRateControl, SparkGraph, Sparsifier}
 
 /** Effective Resistance spectral sparsifier (§2.3.9, Spielman–Srivastava).
   *
-  * Resistances are exact: R_e = (e_u−e_v)ᵀ L⁺ (e_u−e_v), computed from the
-  * dense inverse of (L + J/n + εI). J/n shifts the all-ones kernel away from
-  * zero without perturbing vectors orthogonal to it (e_u−e_v of an
-  * intra-component edge is such a vector); ε handles the kernels of extra
-  * components in disconnected graphs. The paper offloads this to
+  * Resistances are exact: R_e = (e_u−e_v)ᵀ L⁺ (e_u−e_v), computed from a
+  * tiled multi-core Cholesky factorization of A = L + J/n + εI, ε = 1e-9·n
+  * (see `EffectiveResistance.exact`). J/n lifts the all-ones kernel of L
+  * away from zero and leaves R unchanged: e_u−e_v ⟂ 1, and J/n is zero on
+  * the complement of 1. εI lifts the kernel vectors of a disconnected
+  * graph's other components; it biases R by about ε/λ relative, λ the
+  * smallest nonzero eigenvalue of L. The paper offloads this to
   * Laplacians.jl's approximate solver on a 1 TB machine; at our 100×
   * scaled-down graphs the exact dense solve is cheaper and noise-free.
   *
@@ -66,7 +68,7 @@ object EffectiveResistance {
   val MaxDenseN = 6000
 
   /** Cache of exact resistances keyed by graph content: (src, dst, w, R).
-    * The dense inverse is the expensive one-time cost the paper also
+    * The dense solve is the expensive one-time cost the paper also
     * amortises ("we do not include the computation time of the effective
     * resistance because it is a one-time cost", §4.6).
     */
@@ -78,25 +80,53 @@ object EffectiveResistance {
       val n = g.numVertices.toInt
       require(n <= maxN, s"dense ER solve capped at $maxN vertices (got $n)")
       val (src, dst, wt) = GraphOps.collectEdges(g)
-      val a = DenseMatrix.zeros[Double](n, n)
-      val jn = 1.0 / n
-      var i = 0
-      while (i < n) { var j = 0; while (j < n) { a(i, j) = jn; j += 1 }; i += 1 }
-      i = 0
-      while (i < n) { a(i, i) += 1e-9 * n; i += 1 }
-      i = 0
-      while (i < src.length) {
-        val (u, v, w) = (src(i), dst(i), wt(i))
-        a(u, u) += w; a(v, v) += w; a(u, v) -= w; a(v, u) -= w
-        i += 1
-      }
-      val minv = inv(a)
-      val r = Array.tabulate(src.length) { e =>
-        val (u, v) = (src(e), dst(e))
-        math.max(minv(u, u) + minv(v, v) - 2 * minv(u, v), 0.0)
-      }
-      (src, dst, wt, r)
+      (src, dst, wt, exact(n, src, dst, wt, DriverPool.shared))
     })
+
+  /** R_e of every edge of the undirected graph on n vertices given by
+    * (src, dst, wt), from the Cholesky factor A = CCᵀ of
+    * A = L + J/n + εI, ε = 1e-9·n: with W = C⁻¹, A⁻¹ = WᵀW and
+    * R_uv = ‖W(e_u − e_v)‖² = Σ_i (W_iu − W_iv)². Each sum runs in
+    * ascending i within one task, so R is bit-identical for any `pool` size.
+    */
+  def exact(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double], pool: ForkJoinPool): Array[Double] = {
+    require(n.toLong * n <= Int.MaxValue, s"dense ER solve needs n² ≤ 2³¹ − 1 (got n = $n)")
+    // lower triangle of A, row-major; the strict upper triangle receives Wᵀ
+    val a = new Array[Double](n * n)
+    val jn = 1.0 / n
+    var i = 0
+    while (i < n) { java.util.Arrays.fill(a, i * n, i * n + i + 1, jn); a(i * n + i) += 1e-9 * n; i += 1 }
+    i = 0
+    while (i < src.length) {
+      val (u, v, w) = (math.min(src(i), dst(i)), math.max(src(i), dst(i)), wt(i))
+      a(u * n + u) += w; a(v * n + v) += w; a(v * n + u) -= w
+      i += 1
+    }
+    TiledCholesky.factor(a, n, pool)
+    val wDiag = TiledCholesky.invert(a, n, pool)
+    // W(i, u) = a(u·n + i) for i > u, wDiag(u) for i = u, 0 for i < u
+    val r = new Array[Double](src.length)
+    val chunk = 256
+    DriverPool.forEach(pool, (src.length + chunk - 1) / chunk) { c =>
+      var e = c * chunk
+      while (e < math.min(src.length, (c + 1) * chunk)) {
+        val (u, v) = (math.min(src(e), dst(e)), math.max(src(e), dst(e)))
+        if (u < v) {
+          val (ru, rv) = (u * n, v * n)
+          var s = wDiag(u) * wDiag(u)
+          var k = u + 1
+          while (k < v) { s += a(ru + k) * a(ru + k); k += 1 }
+          val d = a(ru + v) - wDiag(v)
+          s += d * d
+          k = v + 1
+          while (k < n) { val t = a(ru + k) - a(rv + k); s += t * t; k += 1 }
+          r(e) = s
+        }
+        e += 1
+      }
+    }
+    r
+  }
 
   def clearCache(): Unit = cache.clear()
 }

@@ -78,11 +78,6 @@ final class Csr(
     dist
   }
 
-  /** Generic distances: hop counts for unweighted graphs, Dijkstra else. */
-  def distances(s: Int, weighted: Boolean): Array[Double] =
-    if (weighted) dijkstra(s)
-    else bfs(s).map(d => if (d < 0) Double.PositiveInfinity else d.toDouble)
-
   /** Connected-component labels (the CSR must be symmetric). */
   def components(): Array[Int] = {
     val comp = Array.fill(n)(-1)

@@ -61,10 +61,6 @@ object Distances {
       tried)
   }
 
-  /** Eccentricity of `v` within its component: max finite distance. */
-  def eccentricity(c: Csr, v: Int, weighted: Boolean): Double =
-    new Csr.ShortestPaths(c, weighted).from(v).farthest._1
-
   /** Mean eccentricity stretch over sampled non-isolated sources; sources
     * isolated in the sparsified graph are excluded and reported (Fig 4b's
     * vertex-isolated constraint).

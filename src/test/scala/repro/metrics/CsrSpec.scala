@@ -51,7 +51,9 @@ class CsrSpec extends SparkSpec {
 
   test("distances dispatches on weighted flag") {
     val c = Csr.fromGraph(path5)
-    assert(c.distances(0, weighted = false).toSeq === Seq(0.0, 1.0, 2.0, 3.0, 4.0))
-    assert(c.distances(0, weighted = true).toSeq === Seq(0.0, 1.0, 2.0, 3.0, 4.0))
+    for (weighted <- Seq(false, true)) {
+      val d = new Csr.ShortestPaths(c, weighted).from(0)
+      assert((0 until 5).map(d(_)) === Seq(0.0, 1.0, 2.0, 3.0, 4.0))
+    }
   }
 }

@@ -30,8 +30,8 @@ class DistanceSpec extends SparkSpec {
   test("eccentricity of a path graph") {
     val p5 = GraphOps.fromPairs(spark, "ecc-p5", Seq((0, 1), (1, 2), (2, 3), (3, 4)), directed = false, 5)
     val c = Csr.fromGraph(p5)
-    assert(Distances.eccentricity(c, 0, weighted = false) === 4.0)
-    assert(Distances.eccentricity(c, 2, weighted = false) === 2.0)
+    assert(new Csr.ShortestPaths(c, weighted = false).from(0).farthest._1 === 4.0)
+    assert(new Csr.ShortestPaths(c, weighted = false).from(2).farthest._1 === 2.0)
   }
 
   test("eccentricity stretch of a graph vs itself is 1") {
