@@ -125,7 +125,7 @@ class TimingBench extends BenchBase {
     val g = repro.graphs.Datasets.get(spark, "ogbn-proteins", cfg.scale)
     repro.core.sparsifiers.EffectiveResistance.clearCache()
     val t0 = System.nanoTime()
-    repro.core.sparsifiers.EffectiveResistance.resistances(g, 6000)
+    repro.core.sparsifiers.EffectiveResistance.resistances(g, repro.core.sparsifiers.EffectiveResistance.MaxDenseN)
     val erMs = (System.nanoTime() - t0) / 1e6
     println(f"\n== Fig 14 note: ER one-time resistance computation = $erMs%.0f ms ==")
     val rnMs = res.rows.find(_.sparsifier eq S.random).get.cells.map(_.mean).min

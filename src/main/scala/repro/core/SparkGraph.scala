@@ -162,13 +162,12 @@ object GraphOps {
     */
   def collectEdges(g: SparkGraph): (Array[Int], Array[Int], Array[Double]) = g.arrays
 
-  /** The graph over the edges whose indices (into [[collectEdges]]) are set
-    * in `keep`, in index order. A subset of canonical edges is canonical, so
-    * no Spark job runs.
+  /** The graph over the edges at indices `idx` (into [[collectEdges]]), in
+    * `idx` order. A subset of canonical edges is canonical, so no Spark job
+    * runs.
     */
-  def subgraph(g: SparkGraph, keep: java.util.BitSet, suffix: String): SparkGraph = {
+  def subgraph(g: SparkGraph, idx: Array[Int], suffix: String): SparkGraph = {
     val (s, d, w) = collectEdges(g)
-    val idx = keep.stream().toArray
     SparkGraph.fromCanonical(g.spark, s"${g.name}#$suffix", idx.map(s), idx.map(d), idx.map(w),
       g.directed, g.weighted, g.numVertices)
   }

@@ -51,8 +51,7 @@ private[core] object EdgeRanking {
     val idx = s.indices.sortWith { (a, b) =>
       score(a) < score(b) || (score(a) == score(b) && (s(a) < s(b) || (s(a) == s(b) && d(a) < d(b))))
     }.take(k).toArray
-    SparkGraph.fromCanonical(g.spark, s"${g.name}#$suffix", idx.map(s), idx.map(d), idx.map(w),
-      g.directed, g.weighted, g.numVertices)
+    GraphOps.subgraph(g, idx, suffix)
   }
 
   /** The coarse-grained prune-rate alignment of K-Neighbor and L-Spar

@@ -7,15 +7,16 @@ import repro.core.{GraphOps, PruneRateControl, SparkGraph, Sparsifier}
 import repro.metrics.Csr
 
 /** Rank Degree (§2.3.3, Voudigari et al.): start from random seed vertices;
-  * each seed adds edges to its top-k neighbours ranked by degree (descending);
+  * each seed adds edges to its top-3 neighbours ranked by degree (descending);
   * newly reached vertices become the next seeds; repeat until the target
   * edge budget is met (random restarts if the frontier dries up).
   */
-final class RankDegree(topK: Int = 3) extends Sparsifier {
+final class RankDegree extends Sparsifier {
   val name = "Rank Degree"; val abbrev = "RD"
   val supportsDirected = true
   val pruneRateControl = PruneRateControl.Coarse
   val deterministic = false
+  private val topK = 3
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val adj = Csr.fromGraph(g, symmetric = false)
@@ -49,20 +50,23 @@ final class RankDegree(topK: Int = 3) extends Sparsifier {
         }
       }
     }
-    GraphOps.subgraph(g, kept, s"RD-$rho-$seed")
+    GraphOps.subgraph(g, kept.stream().toArray, s"RD-$rho-$seed")
   }
 }
 
 /** Forest Fire sparsifier (§2.3.7, after NetworKit's ForestFireScore):
   * repeatedly ignite fires at random vertices; each burning vertex burns a
-  * Geometric(p)-distributed number of random unvisited neighbours. Edge
-  * scores are burn frequencies; the top-K edges by score are kept.
+  * Geometric(p)-distributed number of random unvisited neighbours, p = 0.7,
+  * until 3·m edges have burned. Edge scores are burn frequencies; the top-K
+  * edges by score are kept.
   */
-final class ForestFire(p: Double = 0.7, burnRounds: Double = 3.0) extends Sparsifier {
+final class ForestFire extends Sparsifier {
   val name = "Forest Fire"; val abbrev = "FF"
   val supportsDirected = true
   val pruneRateControl = PruneRateControl.Coarse
   val deterministic = false
+  private val p = 0.7
+  private val burnRounds = 3.0
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val adj = Csr.fromGraph(g, symmetric = false)
@@ -105,7 +109,7 @@ final class ForestFire(p: Double = 0.7, burnRounds: Double = 3.0) extends Sparsi
       .sortBy { case (_, b, r) => (-b, r) }
     val kept = new BitSet(m)
     order.take(target).foreach { case (e, _, _) => kept.set(e) }
-    GraphOps.subgraph(g, kept, s"FF-$rho-$seed")
+    GraphOps.subgraph(g, kept.stream().toArray, s"FF-$rho-$seed")
   }
 }
 
@@ -129,7 +133,7 @@ final class SpanningForest extends Sparsifier {
       val (ru, rv) = (find(src(e)), find(dst(e)))
       if (ru != rv) { parent(ru) = rv; kept.set(e) }
     }
-    GraphOps.subgraph(g, kept, "SF")
+    GraphOps.subgraph(g, kept.stream().toArray, "SF")
   }
 }
 
@@ -146,12 +150,16 @@ final class TSpanner(val t: Int = 3) extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val (src, dst, wt) = GraphOps.collectEdges(g)
-    val n = g.numVertices.toInt
-    // Growing spanner adjacency as nested buffers (edge additions are rare).
-    val h = Array.fill(n)(mutable.ArrayBuffer.empty[(Int, Double)])
+    val c = Csr.fromGraph(g)
+    // The growing spanner H, laid out on G's CSR: u's H-arcs fill the row
+    // prefix offsets(u) until hEnd(u). H ⊆ G, so a row cannot overflow.
+    val hNbr = new Array[Int](c.nbrs.length)
+    val hWt = new Array[Double](c.nbrs.length)
+    val hEnd = c.offsets.clone()
+    def addArc(u: Int, v: Int, w: Double): Unit = { hNbr(hEnd(u)) = v; hWt(hEnd(u)) = w; hEnd(u) += 1 }
     val kept = new BitSet(src.length)
-    val dist = new Array[Double](n)
-    val stamp = new Array[Int](n)
+    val dist = new Array[Double](c.n)
+    val stamp = new Array[Int](c.n)
     var curStamp = 0
 
     /** Bounded Dijkstra from s in the current spanner; true if d(s,v) ≤ cut. */
@@ -163,11 +171,14 @@ final class TSpanner(val t: Int = 3) extends Sparsifier {
         val (d, u) = pq.dequeue()
         if (u == v) return true
         if (stamp(u) == curStamp && d <= dist(u) + 1e-12) {
-          h(u).foreach { case (x, w) =>
-            val nd = d + w
+          var a = c.offsets(u)
+          while (a < hEnd(u)) {
+            val x = hNbr(a)
+            val nd = d + hWt(a)
             if (nd <= cut && (stamp(x) != curStamp || nd < dist(x))) {
               dist(x) = nd; stamp(x) = curStamp; pq.enqueue((nd, x))
             }
+            a += 1
           }
         }
       }
@@ -179,9 +190,9 @@ final class TSpanner(val t: Int = 3) extends Sparsifier {
       val (u, v, w) = (src(e), dst(e), wt(e))
       if (!within(u, v, t * w)) {
         kept.set(e)
-        h(u) += ((v, w)); h(v) += ((u, w))
+        addArc(u, v, w); addArc(v, u, w)
       }
     }
-    GraphOps.subgraph(g, kept, s"SP$t")
+    GraphOps.subgraph(g, kept.stream().toArray, s"SP$t")
   }
 }

@@ -4,9 +4,9 @@ import scala.collection.mutable
 import repro.core.SparkGraph
 
 /** Immutable CSR adjacency on the driver — the one substrate for the
-  * sequential sparsifiers (Rank Degree, Forest Fire) and every metric
-  * (degrees, triangles, BFS/Dijkstra distances, Brandes betweenness, power
-  * iterations, Louvain, max-flow). Graphs in this repro are ≤ ~10⁵ edges
+  * sequential sparsifiers (Rank Degree, Forest Fire, t-Spanner) and every
+  * metric (degrees, triangles, BFS/Dijkstra distances, Brandes betweenness,
+  * power iterations, Louvain, max-flow). Graphs in this repro are ≤ ~10⁵ edges
   * (DESIGN.md), so collected arrays are the right tool. Every metric's
   * unweighted traversal runs on the one BFS kernel, `bfs(s, scratch)`.
   *

@@ -4,74 +4,80 @@ import scala.util.Random
 import repro.core.{GraphOps, SparkGraph}
 
 /** s-t max-flow / min-cut (§2.2.5) via Edmonds–Karp (BFS augmenting paths)
-  * over a residual arc structure. Undirected edges become a symmetric arc
-  * pair that serve as each other's residual; directed edges get a 0-capacity
-  * reverse arc. Edge weights are capacities (1 for unweighted graphs).
+  * on the graph's both-directions CSR, where each edge has one arc in each
+  * endpoint's row; the two arcs, matched through `arcEdge`, are each
+  * other's residual. Edge weights are capacities (1 for unweighted graphs);
+  * on a directed graph the arc stored at the edge's `dst` starts at 0.
   *
   * The paper samples 100 000 pairs on graphs ~100× larger and measures the
   * mean flow stretch between sparsified and original graphs (§3.3.4); we
   * sample proportionally fewer pairs.
   */
-final class FlowNetwork(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double], directed: Boolean) {
-  private val m = src.length
-  val head = new Array[Int](2 * m)
-  val capInit = new Array[Double](2 * m)
-  private val next = new Array[Int](2 * m)
-  private val first = Array.fill(n)(-1)
-  private var cnt = 0
-
-  private def addArc(u: Int, v: Int, c: Double): Unit = {
-    head(cnt) = v; capInit(cnt) = c; next(cnt) = first(u); first(u) = cnt; cnt += 1
-  }
-  // arc 2i and 2i+1 are mutual reverses
-  (0 until m).foreach { i =>
-    addArc(src(i), dst(i), wt(i))
-    addArc(dst(i), src(i), if (directed) 0.0 else wt(i))
-  }
-
-  /** Max flow from s to t (fresh residual capacities per call). */
-  def maxFlow(s: Int, t: Int): Double = {
-    if (s == t) return 0.0
-    val cap = capInit.clone()
-    val prevArc = new Array[Int](n)
-    var flow = 0.0
-    var found = true
-    while (found) {
-      java.util.Arrays.fill(prevArc, -1)
-      prevArc(s) = -2
-      val q = new java.util.ArrayDeque[Integer](); q.add(s)
-      found = false
-      while (!q.isEmpty && !found) {
-        val u = q.poll().intValue()
-        var a = first(u)
-        while (a != -1 && !found) {
-          val v = head(a)
-          if (prevArc(v) == -1 && cap(a) > 1e-12) {
-            prevArc(v) = a
-            if (v == t) found = true else q.add(v)
-          }
-          a = next(a)
-        }
-      }
-      if (found) {
-        // find bottleneck along the path, then augment
-        var bott = Double.MaxValue
-        var v = t
-        while (v != s) { val a = prevArc(v); bott = math.min(bott, cap(a)); v = head(a ^ 1) }
-        v = t
-        while (v != s) { val a = prevArc(v); cap(a) -= bott; cap(a ^ 1) += bott; v = head(a ^ 1) }
-        flow += bott
-      }
-    }
-    flow
-  }
-}
-
 object MaxFlow {
 
-  def network(g: SparkGraph): FlowNetwork = {
-    val (s, d, w) = GraphOps.collectEdges(g)
-    new FlowNetwork(g.numVertices.toInt, s, d, w, g.directed)
+  /** A flow network over `c`: `capInit(a)` is arc a's capacity and
+    * `rev(a)` its residual arc.
+    */
+  final class Network private[MaxFlow] (c: Csr, capInit: Array[Double], rev: Array[Int]) {
+
+    /** Max flow from s to t (fresh residual capacities per call). */
+    def maxFlow(s: Int, t: Int): Double = {
+      if (s == t) return 0.0
+      val cap = capInit.clone()
+      val prevArc = Array.fill(c.n)(-1)
+      val queue = new Array[Int](c.n) // doubles as the visit order to reset
+      var reached = 0
+      var flow = 0.0
+      var found = true
+      while (found) {
+        var i = 0
+        while (i < reached) { prevArc(queue(i)) = -1; i += 1 }
+        prevArc(s) = -2; queue(0) = s
+        var head = 0; var tail = 1
+        found = false
+        while (head < tail && !found) {
+          val u = queue(head); head += 1
+          var a = c.offsets(u)
+          val end = c.offsets(u + 1)
+          while (a < end && !found) {
+            val v = c.nbrs(a)
+            if (prevArc(v) == -1 && cap(a) > 1e-12) {
+              prevArc(v) = a; queue(tail) = v; tail += 1
+              found = v == t
+            }
+            a += 1
+          }
+        }
+        reached = tail
+        if (found) {
+          // find bottleneck along the path, then augment
+          var bott = Double.MaxValue
+          var v = t
+          while (v != s) { val a = prevArc(v); bott = math.min(bott, cap(a)); v = c.nbrs(rev(a)) }
+          v = t
+          while (v != s) { val a = prevArc(v); cap(a) -= bott; cap(rev(a)) += bott; v = c.nbrs(rev(a)) }
+          flow += bott
+        }
+      }
+      flow
+    }
+  }
+
+  /** `g`'s flow network on its shared symmetric CSR. */
+  def network(g: SparkGraph): Network = {
+    val c = Csr.fromGraph(g, symmetric = true)
+    val dst = GraphOps.collectEdges(g)._2
+    val cap = new Array[Double](c.nbrs.length)
+    val rev = new Array[Int](c.nbrs.length)
+    val firstArc = Array.fill(dst.length)(-1)
+    var a = 0
+    while (a < c.nbrs.length) {
+      val e = c.arcEdge(a)
+      if (firstArc(e) < 0) firstArc(e) = a else { rev(a) = firstArc(e); rev(firstArc(e)) = a }
+      cap(a) = if (!g.directed || c.nbrs(a) == dst(e)) c.wts(a) else 0.0
+      a += 1
+    }
+    new Network(c, cap, rev)
   }
 
   final case class FlowStretch(meanStretch: Double, zeroFrac: Double, pairs: Int)

@@ -1,13 +1,25 @@
 package repro
 
 import scala.util.Random
-import repro.core.GraphOps
+import repro.core.{GraphOps, SparkGraph}
+import repro.core.sparsifiers.TSpanner
 import repro.metrics._
 
 /** Randomized property tests (deterministic seeds) for the pure-math
   * kernels: many random instances per property, checked exhaustively.
   */
 class PropertySpec extends SparkSpec {
+
+  /** Canonical random edges on 0 until n: distinct pairs without loops,
+    * (min, max) for undirected graphs, sorted, with weights from `wt`.
+    */
+  private def randomGraph(name: String, rng: Random, n: Int, m: Int, directed: Boolean)(wt: => Double): SparkGraph = {
+    val pairs = Seq.fill(m)((rng.nextInt(n), rng.nextInt(n))).collect {
+      case (u, v) if u != v => if (directed) (u, v) else (math.min(u, v), math.max(u, v))
+    }.distinct.sorted
+    SparkGraph.fromCanonical(spark, name, pairs.map(_._1).toArray, pairs.map(_._2).toArray,
+      pairs.map(_ => wt).toArray, directed, weighted = true, n)
+  }
 
   private def probVec(rng: Random, n: Int): Array[Double] = {
     val xs = Array.fill(n)(rng.nextDouble())
@@ -160,6 +172,52 @@ class PropertySpec extends SparkSpec {
         val f = MaxFlow.network(g).maxFlow(0, n - 1)
         assert(f <= math.min(c.degree(0), c.degree(n - 1)) + 1e-9)
       }
+    }
+  }
+
+  test("CSR max-flow equals the linked-arc oracle (20 random graphs, half directed)") {
+    val rng = new Random(12)
+    (0 until 20).foreach { it =>
+      val n = 3 + rng.nextInt(28)
+      val directed = it % 2 == 1
+      val ints = randomGraph(s"prop-mfo-$it", rng, n, 3 * n, directed)((1 + rng.nextInt(5)).toDouble)
+      val floats = randomGraph(s"prop-mfo-f-$it", rng, n, 3 * n, directed)(0.5 + 4.5 * rng.nextDouble())
+      for (g <- Seq(ints, floats)) {
+        val (s, d, w) = GraphOps.collectEdges(g)
+        val oracle = new FlowNetwork(n, s, d, w, directed)
+        val net = MaxFlow.network(g)
+        for (a <- 0 until n; b <- 0 until n) {
+          val (got, want) = (net.maxFlow(a, b), oracle.maxFlow(a, b))
+          if (g eq ints) assert(got === want, s"graph $it flow $a->$b")
+          else assert(math.abs(got - want) <= 1e-12 * want, s"graph $it flow $a->$b: $got vs $want")
+        }
+      }
+    }
+  }
+
+  test("t-Spanner keeps the brute-force greedy set (20 random weighted graphs)") {
+    val rng = new Random(13)
+    (0 until 20).foreach { it =>
+      val n = 2 + rng.nextInt(11)
+      val t = Seq(2, 3, 5)(it % 3)
+      // weights 1 and 2 make exact d_H = t·w ties (a unit triangle at t = 2);
+      // float weights do not
+      val g = randomGraph(s"prop-sp-$it", rng, n, 4 * n, directed = false)(
+        if (it % 2 == 0) (1 + rng.nextInt(2)).toDouble else 0.5 + 4.5 * rng.nextDouble())
+      val (s, d, w) = GraphOps.collectEdges(g)
+      // greedy: scan by (w, src, dst), keep an edge iff d_H(u, v) > t·w, d_H by Floyd–Warshall
+      val dist = Array.tabulate(n, n)((a, b) => if (a == b) 0.0 else Double.PositiveInfinity)
+      val brute = s.indices.sortBy(e => (w(e), s(e), d(e))).filter { e =>
+        val keep = dist(s(e))(d(e)) > t * w(e)
+        if (keep) {
+          dist(s(e))(d(e)) = math.min(dist(s(e))(d(e)), w(e)); dist(d(e))(s(e)) = dist(s(e))(d(e))
+          for (k <- 0 until n; a <- 0 until n; b <- 0 until n)
+            dist(a)(b) = math.min(dist(a)(b), dist(a)(k) + dist(k)(b))
+        }
+        keep
+      }.map(e => (s(e), d(e))).toSet
+      val (hs, hd, _) = GraphOps.collectEdges(new TSpanner(t)(g, 0.5, 0))
+      assert(hs.indices.map(i => (hs(i), hd(i))).toSet === brute, s"graph $it, t = $t")
     }
   }
 
