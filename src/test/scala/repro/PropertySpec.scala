@@ -210,7 +210,7 @@ class PropertySpec extends SparkSpec {
       val brute = s.indices.sortBy(e => (w(e), s(e), d(e))).filter { e =>
         val keep = dist(s(e))(d(e)) > t * w(e)
         if (keep) {
-          dist(s(e))(d(e)) = math.min(dist(s(e))(d(e)), w(e)); dist(d(e))(s(e)) = dist(s(e))(d(e))
+          dist(s(e))(d(e)) = w(e); dist(d(e))(s(e)) = w(e)
           for (k <- 0 until n; a <- 0 until n; b <- 0 until n)
             dist(a)(b) = math.min(dist(a)(b), dist(a)(k) + dist(k)(b))
         }
