@@ -20,12 +20,12 @@ import repro.metrics.Csr
   * only, §2.1 of the paper).
   *
   * A graph is one fixed value, and its edges reach the driver at most once:
-  *   - built from a DataFrame plan ([[SparkGraph.apply]]: the datasets and
-  *     the Random sampler), it runs that plan once, on the first call to
-  *     `numEdges`, [[GraphOps.collectEdges]] or `Csr.fromGraph`, and keeps
-  *     the rows in the plan's collect order;
+  *   - built from a DataFrame plan ([[SparkGraph.apply]]: the datasets),
+  *     it runs that plan once, on the first call to `numEdges`,
+  *     [[GraphOps.collectEdges]] or `Csr.fromGraph`, and keeps the rows in
+  *     the plan's collect order;
   *   - built from canonical driver arrays ([[SparkGraph.fromCanonical]]:
-  *     every other sparsifier's output and the symmetrized view), it starts
+  *     every sparsifier's output and the symmetrized view), it starts
   *     no Spark job for them, and creates its `edges` DataFrame only when a
   *     Catalyst consumer asks for it.
   * The driver CSR of each view is built from those arrays at most once.
@@ -103,10 +103,6 @@ final class SparkGraph private (
     SparkGraph.Fingerprint(numVertices, s.length, directed,
       MurmurHash3.arrayHash(s), MurmurHash3.arrayHash(d), MurmurHash3.arrayHash(w))
   }
-
-  /** Replace the edge set, keeping direction/weight/vertex-count metadata. */
-  def withEdges(e: DataFrame, suffix: String): SparkGraph =
-    SparkGraph(s"$name#$suffix", e, directed, weighted, numVertices)
 }
 
 object SparkGraph {

@@ -5,8 +5,8 @@ import repro.core.{GraphOps, PruneRateControl, SparkGraph, Sparsifier}
 import repro.metrics.Csr
 
 /** The shared steps of the rank-and-keep sparsifiers (KN, LD, LSim, LS,
-  * GS, SCAN), on the graph's driver arrays: score every edge once, keep the
-  * best.
+  * GS, SCAN, and RN's keep step), on the graph's driver arrays: score every
+  * edge once, keep the best.
   */
 private[core] object EdgeRanking {
 
@@ -18,15 +18,17 @@ private[core] object EdgeRanking {
     */
   def rankArcs(g: SparkGraph, order: (Int, Int, Int) => Double, score: (Int, Int) => Double): Array[Double] = {
     val c = Csr.fromGraph(g, symmetric = false)
-    val key = new Array[Double](c.nbrs.length)
     val best = Array.fill(g.numEdges.toInt)(Double.PositiveInfinity)
     for (u <- 0 until c.n) {
-      val arcs = c.offsets(u) until c.offsets(u + 1)
-      arcs.foreach(a => key(a) = order(u, c.nbrs(a), c.arcEdge(a)))
-      val ranked = arcs.sortWith((a, b) => key(a) > key(b) || (key(a) == key(b) && c.nbrs(a) < c.nbrs(b)))
-      for (r <- ranked.indices) {
-        val e = c.arcEdge(ranked(r))
-        best(e) = math.min(best(e), score(r + 1, ranked.length))
+      val lo = c.offsets(u)
+      val deg = c.offsets(u + 1) - lo
+      // negated, so that ascending order is `order` descending
+      val key = new Array[Double](deg)
+      for (i <- 0 until deg) key(i) = -order(u, c.nbrs(lo + i), c.arcEdge(lo + i))
+      val ranked = sortedIndices(key, (i, j) => c.nbrs(lo + i) < c.nbrs(lo + j))
+      for (r <- 0 until deg) {
+        val e = c.arcEdge(lo + ranked(r))
+        best(e) = math.min(best(e), score(r + 1, deg))
       }
     }
     best
@@ -47,11 +49,45 @@ private[core] object EdgeRanking {
     * them in ascending (score, src, dst) order.
     */
   def keepSmallest(g: SparkGraph, score: Array[Double], k: Int, suffix: String): SparkGraph = {
-    val (s, d, w) = GraphOps.collectEdges(g)
-    val idx = s.indices.sortWith { (a, b) =>
-      score(a) < score(b) || (score(a) == score(b) && (s(a) < s(b) || (s(a) == s(b) && d(a) < d(b))))
-    }.take(k).toArray
-    GraphOps.subgraph(g, idx, suffix)
+    val (s, d, _) = GraphOps.collectEdges(g)
+    val idx = sortedIndices(score, (a, b) => s(a) < s(b) || (s(a) == s(b) && d(a) < d(b)))
+    GraphOps.subgraph(g, idx.take(k), suffix)
+  }
+
+  /** The indices of `key` in ascending (key, `tieLt`) order. `tieLt` must
+    * strictly order the indices of equal keys, so the order is total and the
+    * result unique. A bottom-up merge sort that moves each key with its
+    * index: comparisons read the keys in sequence, and nothing is boxed.
+    */
+  private def sortedIndices(key: Array[Double], tieLt: (Int, Int) => Boolean): Array[Int] = {
+    val n = key.length
+    var fromKey = key.clone()
+    var fromIdx = Array.range(0, n)
+    var toKey = new Array[Double](n)
+    var toIdx = new Array[Int](n)
+    var width = 1
+    while (width < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n)
+        val hi = math.min(lo + 2 * width, n)
+        var i = lo
+        var j = mid
+        var k = lo
+        while (k < hi) {
+          val right = j < hi && (i == mid || fromKey(j) < fromKey(i) ||
+            (fromKey(j) == fromKey(i) && tieLt(fromIdx(j), fromIdx(i))))
+          if (right) { toKey(k) = fromKey(j); toIdx(k) = fromIdx(j); j += 1 }
+          else { toKey(k) = fromKey(i); toIdx(k) = fromIdx(i); i += 1 }
+          k += 1
+        }
+        lo = hi
+      }
+      val tk = fromKey; fromKey = toKey; toKey = tk
+      val ti = fromIdx; fromIdx = toIdx; toIdx = ti
+      width *= 2
+    }
+    fromIdx
   }
 
   /** The coarse-grained prune-rate alignment of K-Neighbor and L-Spar

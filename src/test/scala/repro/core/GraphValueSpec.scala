@@ -43,13 +43,18 @@ class GraphValueSpec extends SparkSpec {
   }
 
   for ((kind, input) <- Seq("undirected" -> (() => fb), "directed" -> (() => tw)))
-    test(s"RN output ($kind) runs its plan once; collect, CSRs and stretch start no job") {
-      val in = input()
-      in.numEdges
-      val h = Sparsifiers.random(in, 0.5, seed = 1)
-      val (m, forceJobs) = jobsDuring(h.numEdges)
+    test(s"dataset ($kind) runs its plan once; RN and metrics start no job") {
+      // a fresh build of the dataset through the same canonicalize plan
+      val data = input()
+      val (s0, d0, w0) = GraphOps.collectEdges(data)
+      val in = GraphOps.fromArrays(spark, data.name, s0, d0, w0, data.directed, data.weighted, data.numVertices)
+      val (_, forceJobs) = jobsDuring(in.numEdges)
       assert(forceJobs > 0)
+      val (h, rnJobs) = jobsDuring(Sparsifiers.random(in, 0.5, seed = 1))
+      assert(rnJobs === 0)
+      val m = h.numEdges
       val (_, jobs) = jobsDuring {
+        assert(GraphOps.collectEdges(in)._1.length === in.numEdges)
         assert(GraphOps.collectEdges(h)._1.length === m)
         assert(Csr.fromGraph(h, symmetric = true) eq Csr.fromGraph(h, symmetric = true))
         Csr.fromGraph(h, symmetric = false)
@@ -75,7 +80,7 @@ class GraphValueSpec extends SparkSpec {
     assert(scores(h) === scores(copy))
   }
 
-  for (sp <- Seq(Sparsifiers.kNeighbor, Sparsifiers.rankDegree, Sparsifiers.spanningForest,
+  for (sp <- Seq(Sparsifiers.random, Sparsifiers.kNeighbor, Sparsifiers.rankDegree, Sparsifiers.spanningForest,
       Sparsifiers.erWeighted, Sparsifiers.localDegree, Sparsifiers.localSimilarity, Sparsifiers.lSpar,
       Sparsifiers.gSpar, Sparsifiers.scan)) {
     test(s"${sp.abbrev} output starts no job for its edge count and CSR") {
