@@ -21,6 +21,11 @@ object DriverPool {
   /** Daemon worker threads, so an idle pool never keeps the JVM alive. */
   lazy val shared: ForkJoinPool = new ForkJoinPool(cores)
 
+  /** A pool of parallelism 1: `forEach` on it runs every index on the
+    * calling thread and starts no worker.
+    */
+  lazy val callingThread: ForkJoinPool = new ForkJoinPool(1)
+
   /** Runs `f(0) … f(count − 1)` on `pool` and returns when all are done.
     * Up to `pool.getParallelism` workers claim indices in ascending order,
     * so put the longest tasks first. The first exception is rethrown.

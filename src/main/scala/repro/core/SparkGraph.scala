@@ -164,7 +164,10 @@ object GraphOps {
     */
   def subgraph(g: SparkGraph, idx: Array[Int], suffix: String): SparkGraph = {
     val (s, d, w) = collectEdges(g)
-    SparkGraph.fromCanonical(g.spark, s"${g.name}#$suffix", idx.map(s), idx.map(d), idx.map(w),
+    val (ks, kd, kw) = (new Array[Int](idx.length), new Array[Int](idx.length), new Array[Double](idx.length))
+    var i = 0
+    while (i < idx.length) { val e = idx(i); ks(i) = s(e); kd(i) = d(e); kw(i) = w(e); i += 1 }
+    SparkGraph.fromCanonical(g.spark, s"${g.name}#$suffix", ks, kd, kw,
       g.directed, g.weighted, g.numVertices)
   }
 

@@ -4,18 +4,19 @@ import java.util.concurrent.ForkJoinPool
 import scala.collection.concurrent.TrieMap
 import scala.util.Random
 import repro.core.{DriverPool, GraphOps, PruneRateControl, SparkGraph, Sparsifier}
+import repro.metrics.Csr
 
 /** Effective Resistance spectral sparsifier (§2.3.9, Spielman–Srivastava).
   *
-  * Resistances are exact: R_e = (e_u−e_v)ᵀ L⁺ (e_u−e_v), computed from a
-  * tiled multi-core Cholesky factorization of A = L + J/n + εI, ε = 1e-9·n
-  * (see `EffectiveResistance.exact`). J/n lifts the all-ones kernel of L
-  * away from zero and leaves R unchanged: e_u−e_v ⟂ 1, and J/n is zero on
-  * the complement of 1. εI lifts the kernel vectors of a disconnected
-  * graph's other components; it biases R by about ε/λ relative, λ the
-  * smallest nonzero eigenvalue of L. The paper offloads this to
-  * Laplacians.jl's approximate solver on a 1 TB machine; at our 100×
-  * scaled-down graphs the exact dense solve is cheaper and noise-free.
+  * Resistances are exact: R_e = (e_u−e_v)ᵀ (L + εI)⁻¹ (e_u−e_v), ε = 1e-9·n
+  * (see `EffectiveResistance.exact`). εI lifts the kernel of L, one
+  * indicator vector per connected component, and leaves R within about ε/λ
+  * relative of the pseudoinverse's value, λ the smallest nonzero eigenvalue
+  * of L. The paper gets R from Laplacians.jl's approxchol, a randomized
+  * sparse Cholesky (Kyng & Sachdeva, FOCS 2016). `exact` is its exact,
+  * deterministic counterpart: it grounds one vertex per component,
+  * eliminates the vertices of low degree sparsely, and factors only the
+  * dense core that is left.
   *
   * Sampling: edge e kept independently with p_e = min(1, c·w_e·R_e), c
   * binary-searched so Σp_e equals the target edge count. The weighted
@@ -64,68 +65,131 @@ final class EffectiveResistance(reweight: Boolean) extends Sparsifier {
 
 object EffectiveResistance {
 
-  /** Max vertices for the dense solve; our datasets stay well below this. */
+  /** Max tail vertices t for the dense part of the solve (see `exact`). */
   val MaxDenseN = 6000
 
+  /** `resistances` runs a solve of fewer flops than this on the calling
+    * thread: about 10 ms of work on one core, where waking the pool's
+    * workers for each parallel step costs more than it saves.
+    */
+  private val CallingThreadFlops = 1L << 24
+
   /** Cache of exact resistances keyed by graph content: (src, dst, w, R).
-    * The dense solve is the expensive one-time cost the paper also
-    * amortises ("we do not include the computation time of the effective
-    * resistance because it is a one-time cost", §4.6).
+    * The solve is the expensive one-time cost the paper also amortises
+    * ("we do not include the computation time of the effective resistance
+    * because it is a one-time cost", §4.6).
     */
   private val cache = TrieMap.empty[SparkGraph.Fingerprint, (Array[Int], Array[Int], Array[Double], Array[Double])]
 
+  /** The graph's edges and their resistances. Throws if the dense tail of
+    * the solve has more than `maxN` vertices.
+    */
   def resistances(g: SparkGraph, maxN: Int): (Array[Int], Array[Int], Array[Double], Array[Double]) =
     cache.getOrElseUpdate(g.fingerprint, {
       require(!g.directed, "ER requires an undirected graph (symmetrize first)")
-      val n = g.numVertices.toInt
-      require(n <= maxN, s"dense ER solve capped at $maxN vertices (got $n)")
       val (src, dst, wt) = GraphOps.collectEdges(g)
-      (src, dst, wt, exact(n, src, dst, wt, DriverPool.shared))
+      (src, dst, wt, solve(g.numVertices.toInt, src, dst, wt, DriverPool.shared, maxN, CallingThreadFlops))
     })
 
-  /** R_e of every edge of the undirected graph on n vertices given by
-    * (src, dst, wt), from the Cholesky factor A = CCᵀ of
-    * A = L + J/n + εI, ε = 1e-9·n: with W = C⁻¹, A⁻¹ = WᵀW and
-    * R_uv = ‖W(e_u − e_v)‖² = Σ_i (W_iu − W_iv)². Each sum runs in
-    * ascending i within one task, so R is bit-identical for any `pool` size.
+  /** R_uv = xᵀ(L + εI)⁻¹x, x = e_u − e_v, ε = 1e-9·n, for every edge of the
+    * undirected graph on n vertices given by (src, dst, wt); 0 for a self
+    * loop. As x ⟂ 1, R_uv also equals xᵀ(L + J/n + εI)⁻¹x.
+    *
+    *  1. Ground: take out of each connected component c one vertex g_c, the
+    *     one of highest degree, ties to the lowest id. What is left,
+    *     B = L_GG + εI, is SPD and well conditioned.
+    *  2. Factor B by [[SparseElimination]]: vertices of low degree are
+    *     eliminated sparsely, and only the dense Schur complement of the t
+    *     vertices left goes through [[TiledCholesky]].
+    *  3. Then (e_u − e_v)ᵀB⁻¹(e_u − e_v) from the entries of B⁻¹ on the
+    *     factor's pattern, with e_g = 0 at a ground vertex.
+    *  4. Add ε(f_u − f_v)²/(n_c − ε·Σ_{i∈c} f_i), f = B⁻¹1 and f_g = 0:
+    *     the block inverse of L_c + εI with g_c as the last pivot gives this
+    *     term exactly, so R is exact.
+    *
+    * Every parallel step runs on `pool`, and every sum in a fixed order
+    * within one task, so R is bit-identical for any `pool` size.
     */
-  def exact(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double], pool: ForkJoinPool): Array[Double] = {
-    require(n.toLong * n <= Int.MaxValue, s"dense ER solve needs n² ≤ 2³¹ − 1 (got n = $n)")
-    // lower triangle of A, row-major; the strict upper triangle receives Wᵀ
-    val a = new Array[Double](n * n)
-    val jn = 1.0 / n
-    var i = 0
-    while (i < n) { java.util.Arrays.fill(a, i * n, i * n + i + 1, jn); a(i * n + i) += 1e-9 * n; i += 1 }
-    i = 0
-    while (i < src.length) {
-      val (u, v, w) = (math.min(src(i), dst(i)), math.max(src(i), dst(i)), wt(i))
-      a(u * n + u) += w; a(v * n + v) += w; a(v * n + u) -= w
-      i += 1
+  def exact(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double], pool: ForkJoinPool): Array[Double] =
+    solve(n, src, dst, wt, pool, Int.MaxValue, 0)
+
+  /** `exact`, but throws if t > `maxTail`, and runs on the calling thread
+    * below `poolFlops`.
+    */
+  private def solve(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double], pool: ForkJoinPool,
+                    maxTail: Int, poolFlops: Long): Array[Double] = {
+    val m = src.length
+    val eps = 1e-9 * n
+    val (comp, size, bIdx) = ground(n, src, dst, wt)
+    val diag = new Array[Double](bIdx.count(_ >= 0))
+    java.util.Arrays.fill(diag, eps)
+    val (eu, ev, off) = (new Array[Int](m), new Array[Int](m), new Array[Double](m))
+    var inner = 0
+    var e = 0
+    while (e < m) {
+      val a = bIdx(src(e)); val b = bIdx(dst(e))
+      if (src(e) != dst(e)) {
+        if (a >= 0) diag(a) += wt(e)
+        if (b >= 0) diag(b) += wt(e)
+        if (a >= 0 && b >= 0) { eu(inner) = a; ev(inner) = b; off(inner) = -wt(e); inner += 1 }
+      }
+      e += 1
     }
-    TiledCholesky.factor(a, n, pool)
-    val wDiag = TiledCholesky.invert(a, n, pool)
-    // W(i, u) = a(u·n + i) for i > u, wDiag(u) for i = u, 0 for i < u
-    val r = new Array[Double](src.length)
+    val el = SparseElimination.factor(diag, eu, ev, off, inner, maxTail)
+    val t = el.t.toLong
+    val p = if (2 * t * t * t / 3 + m * t < poolFlops) DriverPool.callingThread else pool
+    el.invert(p)
+    val ones = new Array[Double](diag.length)
+    java.util.Arrays.fill(ones, 1.0)
+    val f = el.solve(ones, p)
+    val fSum = new Array[Double](n)
+    var v = 0
+    while (v < n) { if (bIdx(v) >= 0) fSum(comp(v)) += f(bIdx(v)); v += 1 }
+
+    val r = new Array[Double](m)
     val chunk = 256
-    DriverPool.forEach(pool, (src.length + chunk - 1) / chunk) { c =>
+    DriverPool.forEach(p, (m + chunk - 1) / chunk) { c =>
       var e = c * chunk
-      while (e < math.min(src.length, (c + 1) * chunk)) {
-        val (u, v) = (math.min(src(e), dst(e)), math.max(src(e), dst(e)))
-        if (u < v) {
-          val (ru, rv) = (u * n, v * n)
-          var s = wDiag(u) * wDiag(u)
-          var k = u + 1
-          while (k < v) { s += a(ru + k) * a(ru + k); k += 1 }
-          val d = a(ru + v) - wDiag(v)
-          s += d * d
-          k = v + 1
-          while (k < n) { val t = a(ru + k) - a(rv + k); s += t * t; k += 1 }
-          r(e) = s
+      while (e < math.min(m, (c + 1) * chunk)) {
+        if (src(e) != dst(e)) {
+          val a = bIdx(src(e)); val b = bIdx(dst(e))
+          val form =
+            if (a < 0) el.inverseDiagonal(b)
+            else if (b < 0) el.inverseDiagonal(a)
+            else el.differenceForm(a, b)
+          val df = (if (a < 0) 0.0 else f(a)) - (if (b < 0) 0.0 else f(b))
+          val c = comp(src(e))
+          r(e) = form + eps * df * df / (size(c) - eps * fSum(c))
         }
         e += 1
       }
     }
     r
+  }
+
+  /** Each vertex's component label, each component's size, and each
+    * vertex's index in B: −1 for the ground, the component's vertex of
+    * highest degree, ties to the lowest id; the other vertices in ascending
+    * id.
+    */
+  private def ground(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double]): (Array[Int], Array[Int], Array[Int]) = {
+    val csr = Csr.fromArrays(n, src, dst, wt, bothDirections = true)
+    val comp = csr.components()
+    val size = new Array[Int](n)
+    val ground = new Array[Int](n)
+    java.util.Arrays.fill(ground, -1)
+    var v = 0
+    while (v < n) {
+      val c = comp(v)
+      size(c) += 1
+      if (ground(c) < 0 || csr.degree(v) > csr.degree(ground(c))) ground(c) = v
+      v += 1
+    }
+    val bIdx = new Array[Int](n)
+    var next = 0
+    v = 0
+    while (v < n) { if (ground(comp(v)) == v) bIdx(v) = -1 else { bIdx(v) = next; next += 1 }; v += 1 }
+    (comp, size, bIdx)
   }
 
   def clearCache(): Unit = cache.clear()
