@@ -12,7 +12,7 @@ object JobMain {
   val fullRhos: Seq[Double] = (1 to 9).map(_ / 10.0)
 
   def run(args: Array[String])(body: (SparkSession, Experiments.Config) => Seq[ExpResult]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .appName("sparsification-repro")
       .master(SparkMaster.fromEnv)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -39,7 +39,7 @@ trait Sparsifier {
     */
   final def apply(g: SparkGraph, pruneRate: Double, seed: Long = 0L): SparkGraph = {
     require(pruneRate >= 0.0 && pruneRate < 1.0, s"prune rate $pruneRate out of [0,1)")
-    val in = if (g.directed && !supportsDirected) GraphOps.symmetrize(g) else g
+    val in = if (g.directed && !supportsDirected) g.symmetrized else g
     sparsify(in, pruneRate, seed)
   }
 

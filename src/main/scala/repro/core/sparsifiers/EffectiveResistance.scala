@@ -57,7 +57,7 @@ final class EffectiveResistance(reweight: Boolean) extends Sparsifier {
       }
       i += 1
     }
-    SparkGraph.fromCanonical(g.spark, s"${g.name}#$abbrev-$rho-$seed",
+    SparkGraph.fromCanonical(s"${g.name}#$abbrev-$rho-$seed",
       ks.result(), kd.result(), kw.result(),
       directed = false, weighted = reweight || g.weighted, g.numVertices)
   }

@@ -1,6 +1,7 @@
 package repro.metrics
 
 import scala.collection.mutable
+import scala.util.Random
 import repro.core.SparkGraph
 
 /** Immutable CSR adjacency on the driver — the one substrate for the
@@ -107,6 +108,24 @@ object Csr {
     val dist: Array[Int] = Array.fill(n)(-1)
     val order: Array[Int] = new Array[Int](n)
     var reached = 0
+  }
+
+  /** Same-component vertex pairs of a graph whose component labels are
+    * `comp` (from `components()`): `draw` picks a component of ≥ 2 vertices
+    * with probability proportional to its number of ordered pairs, so a pair
+    * drawn inside it is uniform over all same-component pairs.
+    */
+  final class ComponentPairs(comp: Array[Int]) {
+    private val groups = comp.indices.groupBy(comp).values.filter(_.size >= 2).toArray
+    private val cum = groups.map(c => c.size.toLong * (c.size - 1)).scanLeft(0L)(_ + _).tail
+
+    def isEmpty: Boolean = groups.isEmpty
+
+    /** The vertices of a drawn component, for one `rng.nextDouble()`. */
+    def draw(rng: Random): IndexedSeq[Int] = {
+      val d = (rng.nextDouble() * cum.last).toLong
+      groups(cum.indexWhere(_ > d))
+    }
   }
 
   /** Single-source distances, one source at a time: hop counts through the

@@ -20,15 +20,9 @@ object Distances {
   def spspStretch(orig: SparkGraph, spar: SparkGraph, nPairs: Int = 2000, seed: Long = 0): StretchResult = {
     val co = Csr.fromGraph(orig, symmetric = true)
     val cs = Csr.fromGraph(spar, symmetric = true)
-    val comp = co.components()
+    val pairs = new Csr.ComponentPairs(co.components())
+    if (pairs.isEmpty) return StretchResult(Double.NaN, 1.0, 0)
     val rng = new Random(seed)
-    val n = co.n
-    // group vertices by component to draw same-component pairs
-    val byComp = (0 until n).groupBy(comp).values.filter(_.size >= 2).toArray
-    if (byComp.isEmpty) return StretchResult(Double.NaN, 1.0, 0)
-    val weights = byComp.map(c => c.size.toLong * (c.size - 1))
-    val cum = weights.scanLeft(0L)(_ + _).tail
-    val total = cum.last
 
     // Sample distinct sources, BFS once per source, pick random targets.
     val perSource = 10
@@ -38,9 +32,7 @@ object Distances {
     var stretchSum = 0.0; var reached = 0; var lost = 0
     var s = 0
     while (s < nSources) {
-      val draw = (rng.nextDouble() * total).toLong
-      val ci = cum.indexWhere(_ > draw)
-      val compVs = byComp(ci)
+      val compVs = pairs.draw(rng)
       val u = compVs(rng.nextInt(compVs.size))
       dOrig.from(u); dSpar.from(u)
       var t = 0

@@ -1,6 +1,6 @@
 package repro.metrics
 
-import breeze.linalg.{argmax, convert, DenseMatrix, DenseVector, *}
+import breeze.linalg.{argmax, DenseMatrix}
 import breeze.numerics.exp
 import scala.util.Random
 import repro.core.SparkGraph

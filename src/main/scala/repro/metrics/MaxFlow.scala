@@ -82,22 +82,21 @@ object MaxFlow {
 
   final case class FlowStretch(meanStretch: Double, zeroFrac: Double, pairs: Int)
 
-  /** Mean flow stretch flow_spar(s,t)/flow_orig(s,t) over sampled pairs with
-    * positive original flow; pairs whose sparsified flow drops to zero are
+  /** Mean flow stretch flow_spar(s,t)/flow_orig(s,t) over same-component
+    * pairs, sampled uniformly as in `Distances.spspStretch`, with positive
+    * original flow; pairs whose sparsified flow drops to zero are
     * excluded from the mean and reported (Fig 12's unreachable constraint).
     */
   def flowStretch(orig: SparkGraph, spar: SparkGraph, nPairs: Int = 150, seed: Long = 0): FlowStretch = {
-    val comp = Csr.fromGraph(orig, symmetric = true).components()
+    val pairs = new Csr.ComponentPairs(Csr.fromGraph(orig, symmetric = true).components())
+    if (pairs.isEmpty) return FlowStretch(Double.NaN, 1.0, 0)
     val no = network(orig)
     val ns = network(spar)
     val rng = new Random(seed)
-    val n = comp.length
-    val byComp = (0 until n).groupBy(comp).values.filter(_.size >= 2).toArray
-    if (byComp.isEmpty) return FlowStretch(Double.NaN, 1.0, 0)
     var sum = 0.0; var used = 0; var zero = 0
     var i = 0
     while (i < nPairs) {
-      val cs = byComp(rng.nextInt(byComp.length))
+      val cs = pairs.draw(rng)
       val s = cs(rng.nextInt(cs.size)); val t = cs(rng.nextInt(cs.size))
       if (s != t) {
         val fo = no.maxFlow(s, t)

@@ -17,7 +17,7 @@ class PropertySpec extends SparkSpec {
     val pairs = Seq.fill(m)((rng.nextInt(n), rng.nextInt(n))).collect {
       case (u, v) if u != v => if (directed) (u, v) else (math.min(u, v), math.max(u, v))
     }.distinct.sorted
-    SparkGraph.fromCanonical(spark, name, pairs.map(_._1).toArray, pairs.map(_._2).toArray,
+    SparkGraph.fromCanonical(name, pairs.map(_._1).toArray, pairs.map(_._2).toArray,
       pairs.map(_ => wt).toArray, directed, weighted = true, n)
   }
 

@@ -1,25 +1,37 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{GraphOps, SparkGraph}
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit); the master comes from [[repro.harness.SparkMaster]]. Broadcast
-  * joins are disabled so the sparsifiers' joins run as shuffles.
+  * joins are disabled, as in the `jobs/` mains' session.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** The graph's edges as a DataFrame (src: Long, dst: Long, weight: Double)
+    * for the DuckDB oracle and Catalyst-side checks: one partition in the
+    * graph's edge order, so `rand(seed)` over it draws row i's key i-th.
+    */
+  def edgesDf(g: SparkGraph): DataFrame = {
+    import spark.implicits._
+    val (s, d, w) = GraphOps.collectEdges(g)
+    spark.sparkContext.parallelize(s.indices.map(i => (s(i).toLong, d(i).toLong, w(i))), numSlices = 1)
+      .toDF("src", "dst", "weight")
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(repro.harness.SparkMaster.fromEnv)
       .appName("repro")
       .config("spark.sql.shuffle.partitions",

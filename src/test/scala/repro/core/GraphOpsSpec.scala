@@ -33,7 +33,7 @@ class GraphOpsSpec extends SparkSpec {
 
   test("undirected edges stored with src < dst") {
     val g = fromPairs(spark, "c5", Seq((4, 0), (3, 4), (2, 3), (1, 2), (0, 1)), directed = false, 5)
-    assert(g.edges.filter(col("src") >= col("dst")).count() === 0)
+    assert(edgesDf(g).filter(col("src") >= col("dst")).count() === 0)
     assert(g.numEdges === 5)
   }
 
@@ -72,19 +72,19 @@ class GraphOpsSpec extends SparkSpec {
       """SELECT v, COUNT(*) AS deg FROM
         |  (SELECT src AS v FROM edges UNION ALL SELECT dst AS v FROM edges)
         |GROUP BY v""".stripMargin,
-      "edges" -> g.edges)
+      "edges" -> edgesDf(g))
   }
 
   test("symmetrize merges reciprocal directed edges") {
     val g = fromPairs(spark, "recip", Seq((0, 1), (1, 0), (1, 2)), directed = true, 3)
-    val u = symmetrize(g)
+    val u = g.symmetrized
     assert(!u.directed)
     assert(u.numEdges === 2)
-    assert(symmetrize(g) eq u)
+    assert(g.symmetrized eq u)
   }
 
   test("symmetrize is a no-op on undirected graphs") {
-    assert(symmetrize(triangle) eq triangle)
+    assert(triangle.symmetrized eq triangle)
   }
 
   test("isolatedRatio counts untouched vertices") {
@@ -96,7 +96,7 @@ class GraphOpsSpec extends SparkSpec {
   test("fromArrays round-trips weights") {
     val g = fromArrays(spark, "w", Array(0, 1), Array(1, 2), Array(2.5, 0.5),
       directed = false, weighted = true, 3)
-    val w = g.edges.orderBy("src").collect().map(_.getDouble(2)).toSeq
+    val w = edgesDf(g).orderBy("src").collect().map(_.getDouble(2)).toSeq
     assert(w === Seq(2.5, 0.5))
   }
 
@@ -108,7 +108,7 @@ class GraphOpsSpec extends SparkSpec {
 
   test("edge count via DuckDB oracle on a generated graph") {
     val g = repro.graphs.Datasets.get(spark, "com-DBLP", 0.1)
-    val cnt = g.edges.agg(count(lit(1)) as "m")
-    Oracle.assertEquivalent(cnt, "SELECT COUNT(*) AS m FROM edges", "edges" -> g.edges)
+    val cnt = edgesDf(g).agg(count(lit(1)) as "m")
+    Oracle.assertEquivalent(cnt, "SELECT COUNT(*) AS m FROM edges", "edges" -> edgesDf(g))
   }
 }

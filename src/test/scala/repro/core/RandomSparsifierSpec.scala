@@ -24,7 +24,7 @@ class RandomSparsifierSpec extends SparkSpec {
   /** The sampler's former Catalyst plan, collected in its sorted order. */
   private def catalystSample(g: SparkGraph, rho: Double, seed: Long): Seq[(Int, Int, Double)] = {
     val k = math.max(1L, math.round((1.0 - rho) * g.numEdges)).toInt
-    g.edges.withColumn("__score", rand(seed))
+    edgesDf(g).withColumn("__score", rand(seed))
       .orderBy(col("__score").asc, col("src").asc, col("dst").asc)
       .limit(k)
       .select("src", "dst", "weight")

@@ -59,7 +59,7 @@ class SimilarityScoresSpec extends SparkSpec {
         |JOIN arcs a ON a.u = e.src
         |JOIN arcs b ON b.u = e.dst AND b.v = a.v
         |GROUP BY e.src, e.dst""".stripMargin,
-      "edges" -> hepPh.edges)
+      "edges" -> edgesDf(hepPh))
   }
 
   test("jaccard and SCAN scores match DuckDB oracle") {
@@ -77,7 +77,7 @@ class SimilarityScoresSpec extends SparkSpec {
         |  CAST(c.c AS DOUBLE) / (ds.d + dd.d - c.c) AS jaccard,
         |  (c.c + 1) / SQRT(CAST((ds.d + 1) * (dd.d + 1) AS DOUBLE)) AS scan
         |FROM common c JOIN deg ds ON ds.v = c.src JOIN deg dd ON dd.v = c.dst""".stripMargin,
-      "edges" -> hepPh.edges)
+      "edges" -> edgesDf(hepPh))
   }
 
   test("isolated-endpoint edges get zero jaccard without crashing") {

@@ -61,7 +61,7 @@ class SparsifierBehaviorSpec extends SparkSpec {
 
   test("KN: the same edges in another order keep the same set") {
     val (s, d, w) = GraphOps.collectEdges(fb)
-    val reversed = SparkGraph.fromCanonical(spark, "fb-reversed", s.reverse, d.reverse, w.reverse,
+    val reversed = SparkGraph.fromCanonical("fb-reversed", s.reverse, d.reverse, w.reverse,
       fb.directed, fb.weighted, fb.numVertices)
     for (rho <- Seq(0.3, 0.7))
       assert(keptPairs(Sparsifiers.kNeighbor(reversed, rho, seed = 7)) ===
@@ -195,7 +195,7 @@ class SparsifierBehaviorSpec extends SparkSpec {
            |SELECT $lo AS src, $hi AS dst,
            |  MIN(CASE WHEN rnk = 1 THEN 0.0 ELSE LN(rnk) / LN(degu) END) AS minexp
            |FROM ranked GROUP BY 1, 2""".stripMargin,
-        "edges" -> g.edges)
+        "edges" -> edgesDf(g))
     }
   }
 
@@ -204,7 +204,7 @@ class SparsifierBehaviorSpec extends SparkSpec {
     val h = Sparsifiers.random(fb, 0.5, seed = 11)
     val mid = fb.numVertices / 2
     def frac(g: SparkGraph) = {
-      val lo = g.edges.filter(col("src") < mid).count().toDouble
+      val lo = edgesDf(g).filter(col("src") < mid).count().toDouble
       lo / g.numEdges
     }
     assert(math.abs(frac(h) - frac(fb)) < 0.05)
@@ -258,7 +258,7 @@ class SparsifierBehaviorSpec extends SparkSpec {
 
   test("ER-weighted: total kept weight is an unbiased estimate of total weight") {
     val h = Sparsifiers.erWeighted(fb, 0.4, seed = 5)
-    def total(g: SparkGraph) = g.edges.agg(sum("weight")).collect()(0).getDouble(0)
+    def total(g: SparkGraph) = edgesDf(g).agg(sum("weight")).collect()(0).getDouble(0)
     assert(math.abs(total(h) / total(fb) - 1.0) < 0.25)
   }
 
@@ -275,6 +275,6 @@ class SparsifierBehaviorSpec extends SparkSpec {
 
   test("ER-unweighted: keeps original weights") {
     val h = Sparsifiers.erUnweighted(fb, 0.4, seed = 5)
-    assert(h.edges.filter(col("weight") =!= 1.0).count() === 0)
+    assert(edgesDf(h).filter(col("weight") =!= 1.0).count() === 0)
   }
 }

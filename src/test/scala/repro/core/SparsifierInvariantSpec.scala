@@ -13,10 +13,10 @@ class SparsifierInvariantSpec extends SparkSpec {
   private lazy val dir = Datasets.get(spark, "ego-Twitter", 0.12)  // directed, disconnected
 
   private def edgeSet(g: SparkGraph): Set[(Long, Long)] =
-    g.edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    edgesDf(g).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
 
   private def edgeWeights(g: SparkGraph): Map[(Long, Long), Double] =
-    g.edges.collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
+    edgesDf(g).collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
 
   for (sp <- Sparsifiers.all) {
 
@@ -74,7 +74,7 @@ class SparsifierInvariantSpec extends SparkSpec {
       } else {
         // framework symmetrizes first (§3.1), so the result is undirected
         assert(!h.directed)
-        assert(edgeSet(h).subsetOf(edgeSet(GraphOps.symmetrize(dir))))
+        assert(edgeSet(h).subsetOf(edgeSet(dir.symmetrized)))
       }
       assert(h.numEdges > 0)
     }

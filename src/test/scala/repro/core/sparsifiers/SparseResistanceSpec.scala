@@ -68,7 +68,7 @@ class SparseResistanceSpec extends SparkSpec {
   }
 
   private def graph(x: Instance, name: String): SparkGraph =
-    SparkGraph.fromCanonical(spark, name, x.src, x.dst, x.wt, directed = false, weighted = true, x.n)
+    SparkGraph.fromCanonical(name, x.src, x.dst, x.wt, directed = false, weighted = true, x.n)
 
   private def onPool[A](threads: Int)(f: ForkJoinPool => A): A = {
     val pool = new ForkJoinPool(threads)
@@ -106,7 +106,7 @@ class SparseResistanceSpec extends SparkSpec {
 
   test(s"a star K_{1,7999} is solved past the dense cap (n > ${EffectiveResistance.MaxDenseN}): R ≈ 1") {
     val n = 8000
-    val star = SparkGraph.fromCanonical(spark, "er-star-8000", Array.fill(n - 1)(0), Array.tabulate(n - 1)(_ + 1),
+    val star = SparkGraph.fromCanonical("er-star-8000", Array.fill(n - 1)(0), Array.tabulate(n - 1)(_ + 1),
       Array.fill(n - 1)(1.0), directed = false, weighted = false, n)
     val (_, _, _, r) = EffectiveResistance.resistances(star, EffectiveResistance.MaxDenseN)
     assert(r.length === n - 1)

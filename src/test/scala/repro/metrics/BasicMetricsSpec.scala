@@ -79,7 +79,7 @@ class BasicMetricsSpec extends SparkSpec {
         |           (CAST(a.x AS DOUBLE) - CAST(b.x AS DOUBLE)) *
         |           (CAST(a.x AS DOUBLE) - CAST(b.x AS DOUBLE))) AS qf
         |FROM edges e JOIN xs a ON a.v = e.src JOIN xs b ON b.v = e.dst""".stripMargin,
-      "edges" -> g.edges, "xs" -> x.indices.map(v => (v.toLong, x(v))).toDF("v", "x"))
+      "edges" -> edgesDf(g), "xs" -> x.indices.map(v => (v.toLong, x(v))).toDF("v", "x"))
   }
 
   test("meanRatio of a graph against itself is 1") {

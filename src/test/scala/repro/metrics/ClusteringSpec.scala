@@ -1,6 +1,5 @@
 package repro.metrics
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.GraphOps
 import repro.graphs.Datasets
@@ -34,7 +33,7 @@ class ClusteringSpec extends SparkSpec {
       """SELECT COUNT(*) AS tri FROM edges ab
         |JOIN edges bc ON ab.dst = bc.src
         |JOIN edges ac ON ac.src = ab.src AND ac.dst = bc.dst""".stripMargin,
-      "edges" -> g.edges)
+      "edges" -> edgesDf(g))
   }
 
   // ---- clustering coefficients ----

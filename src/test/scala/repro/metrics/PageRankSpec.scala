@@ -44,7 +44,7 @@ class PageRankSpec extends SparkSpec {
         |SELECT vx.v AS v,
         |       CAST(0.15 AS DOUBLE) + 0.85 * COALESCE(inflow.f, 0.0) + 0.85 * dang.nd / (SELECT COUNT(*) FROM vx) AS npr
         |FROM vx LEFT JOIN inflow ON vx.v = inflow.v CROSS JOIN dang""".stripMargin,
-      "edges" -> g.edges, "vs" -> spark.range(n).toDF("v"))
+      "edges" -> edgesDf(g), "vs" -> spark.range(n).toDF("v"))
   }
 
   test("pagerank of an undirected triangle is uniform") {

@@ -25,7 +25,7 @@ class TraversalParitySpec extends SparkSpec {
   private val n = 300
 
   private def graph(name: String, edges: Seq[(Int, Int, Double)], directed: Boolean, weighted: Boolean) =
-    SparkGraph.fromCanonical(spark, name, edges.map(_._1).toArray, edges.map(_._2).toArray,
+    SparkGraph.fromCanonical(name, edges.map(_._1).toArray, edges.map(_._2).toArray,
       edges.map(_._3).toArray, directed, weighted, n)
 
   private val undPairs: Seq[(Int, Int)] =
