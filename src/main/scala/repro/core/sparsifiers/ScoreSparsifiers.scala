@@ -50,9 +50,12 @@ private[core] object EdgeRanking {
     */
   def keepSmallest(g: SparkGraph, score: Array[Double], k: Int, suffix: String): SparkGraph = {
     val (s, d, _) = GraphOps.collectEdges(g)
-    val idx = sortedIndices(score, (a, b) => s(a) < s(b) || (s(a) == s(b) && d(a) < d(b)))
-    GraphOps.subgraph(g, idx.take(k), suffix)
+    GraphOps.subgraph(g, sortedEdges(score, s, d).take(k), suffix)
   }
+
+  /** The edge indices in ascending (key, src, dst) order. */
+  def sortedEdges(key: Array[Double], src: Array[Int], dst: Array[Int]): Array[Int] =
+    sortedIndices(key, (a, b) => src(a) < src(b) || (src(a) == src(b) && dst(a) < dst(b)))
 
   /** The indices of `key` in ascending (key, `tieLt`) order. `tieLt` must
     * strictly order the indices of equal keys, so the order is total and the

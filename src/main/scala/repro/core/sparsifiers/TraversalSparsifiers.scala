@@ -128,7 +128,7 @@ final class SpanningForest extends Sparsifier {
     val parent = Array.tabulate(g.numVertices.toInt)(identity)
     def find(x: Int): Int = { var r = x; while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }; r }
     val kept = new BitSet(src.length)
-    val order = src.indices.sortBy(e => (wt(e), src(e), dst(e)))
+    val order = EdgeRanking.sortedEdges(wt, src, dst)
     order.foreach { e =>
       val (ru, rv) = (find(src(e)), find(dst(e)))
       if (ru != rv) { parent(ru) = rv; kept.set(e) }
@@ -185,7 +185,7 @@ final class TSpanner(val t: Int = 3) extends Sparsifier {
       false
     }
 
-    val order = src.indices.sortBy(e => (wt(e), src(e), dst(e)))
+    val order = EdgeRanking.sortedEdges(wt, src, dst)
     order.foreach { e =>
       val (u, v, w) = (src(e), dst(e), wt(e))
       if (!within(u, v, t * w)) {

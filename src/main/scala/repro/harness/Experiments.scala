@@ -173,7 +173,8 @@ object Experiments {
       S.localSimilarity, S.scan, S.gSpar, S.random)
     // green line: F1 of two independent Louvain runs on the original graph
     val ref = ClusterF1.f1(Louvain.cluster(g, 1), Louvain.cluster(g, 2))
-    val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((o, h) => ClusterF1.similarity(o, h))
+    val orig = Louvain.cluster(g, 0)
+    val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((_, h) => ClusterF1.f1(Louvain.cluster(h, 1), orig))
     Seq(ExpResult("Fig 10: clustering F1 similarity (ca-HepPh)", cfg.rhos, rows, refValue = Some(ref)))
   }
 
@@ -211,9 +212,10 @@ object Experiments {
       val data = Datasets.gnn(spark, dataset, cfg.scale)
       val g = data.graph
       def score(r: Gnn.GnnResult) = if (useAuroc) r.auroc else r.accuracy
-      val full = score(Gnn.run(model, g, g, data))
-      val mlp = score(Gnn.run(Gnn.MlpOnly, g, g, data))
-      val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((o, h) => score(Gnn.run(model, h, o, data)))
+      val test = Gnn.testFeatures(model, data)
+      val full = score(Gnn.run(model, g, data, test))
+      val mlp = score(Gnn.run(Gnn.MlpOnly, g, data, Gnn.testFeatures(Gnn.MlpOnly, data)))
+      val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((_, h) => score(Gnn.run(model, h, data, test)))
       val metricName = if (useAuroc) "AUROC" else "accuracy"
       ExpResult(s"Fig $tag: ${model.getClass.getSimpleName.stripSuffix("$")} $metricName ($dataset)",
         cfg.rhos, rows, refValue = Some(full), baseline = Some(mlp))

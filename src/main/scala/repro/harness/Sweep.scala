@@ -13,7 +13,9 @@ final case class SweepRow(sparsifier: Sparsifier, cells: Seq[Cell])
   * seed-averaging for non-deterministic sparsifiers, evaluating an arbitrary
   * (original, sparsified) → Double metric. Sparsifiers with NO prune-rate
   * control (Spanning Forest, t-Spanner) contribute a single cell at their
-  * intrinsic prune rate (§3.2 item 1).
+  * intrinsic prune rate (§3.2 item 1). A cell's mean is the plain mean of
+  * its seeds, so one NaN seed (no usable measurement) voids the cell, which
+  * prints as `n/a`.
   */
 object Sweep {
 
@@ -95,7 +97,7 @@ object Fmt {
         rhos.foreach { r =>
           row.cells.find(_.rho == r) match {
             case Some(c) =>
-              val s = if (c.runs > 1) f"${fmtD(c.mean)}±${c.std}%.3f" else fmtD(c.mean)
+              val s = if (c.runs > 1 && !c.mean.isNaN) f"${fmtD(c.mean)}±${c.std}%.3f" else fmtD(c.mean)
               sb ++= s.padTo(14, ' ')
             case None => sb ++= "-".padTo(14, ' ')
           }

@@ -1,7 +1,5 @@
 package repro.metrics
 
-import breeze.linalg.{argmax, DenseMatrix}
-import breeze.numerics.exp
 import scala.util.Random
 import repro.core.SparkGraph
 import repro.graphs.GnnData
@@ -21,7 +19,8 @@ import repro.graphs.GnnData
   *     (G-Spar/SCAN) shine here, the paper's Fig 13b finding.
   *
   * Exactly as §3.3.4: the model trains on the SPARSIFIED graph and is
-  * tested with features propagated over the FULL graph.
+  * tested with features propagated over the FULL graph. Matrices are
+  * row-major `Array[Double]`s.
   */
 object Gnn {
 
@@ -31,117 +30,124 @@ object Gnn {
   /** No-graph baseline (the paper's red "MLP only" line). */
   case object MlpOnly extends Model
 
-  /** Mean-aggregation propagation: H = (D+I)⁻¹(A+I) X, applied `hops` times.
-    * `restrict`: only aggregate over edges whose endpoints share a label.
+  /** Mean-aggregation propagation of row-major n × d features: H =
+    * (D+I)⁻¹(A+I) X, applied `hops` times. `restrict`: only aggregate over
+    * edges whose endpoints share a label.
     */
-  def propagate(g: SparkGraph, x: DenseMatrix[Double], hops: Int,
-                restrict: Option[Array[Int]] = None): DenseMatrix[Double] = {
+  def propagate(g: SparkGraph, x: Array[Double], d: Int, hops: Int,
+                restrict: Option[Array[Int]] = None): Array[Double] = {
     val c = Csr.fromGraph(g, symmetric = true)
-    var h = x
-    var hop = 0
-    while (hop < hops) {
-      val nh = DenseMatrix.zeros[Double](h.rows, h.cols)
-      var v = 0
-      while (v < c.n) {
+    (0 until hops).foldLeft(x) { (h, _) =>
+      val nh = new Array[Double](h.length)
+      for (v <- 0 until c.n) {
+        def add(u: Int): Unit = for (j <- 0 until d) nh(v * d + j) += h(u * d + j)
         var cnt = 1.0
-        nh(v, ::) :+= h(v, ::) // self loop
+        add(v) // self loop
         c.foreachNbr(v) { (u, _) =>
-          if (restrict.forall(lbl => lbl(u) == lbl(v))) {
-            nh(v, ::) :+= h(u, ::); cnt += 1.0
-          }
+          if (restrict.forall(lbl => lbl(u) == lbl(v))) { add(u); cnt += 1.0 }
         }
-        nh(v, ::) :/= cnt
-        v += 1
+        for (j <- 0 until d) nh(v * d + j) /= cnt
       }
-      h = nh
-      hop += 1
+      nh
     }
-    h
   }
 
-  /** Full-batch softmax regression with L2, plain gradient descent. */
-  def trainSoftmax(h: DenseMatrix[Double], y: Array[Int], mask: Array[Boolean],
-                   numClasses: Int, epochs: Int = 300, lr: Double = 0.5,
-                   l2: Double = 1e-4, seed: Long = 0): DenseMatrix[Double] = {
-    val rows = mask.zipWithIndex.collect { case (true, i) => i }
-    val xt = DenseMatrix.tabulate(rows.length, h.cols)((r, c) => h(rows(r), c))
-    val yt = rows.map(y)
-    val rng = new Random(seed)
-    var w = DenseMatrix.tabulate(h.cols, numClasses)((_, _) => rng.nextGaussian() * 0.01)
-    val nT = rows.length.toDouble
-    var ep = 0
-    while (ep < epochs) {
-      val logits = xt * w
-      // row-wise softmax
-      val p = logits.copy
-      var r = 0
-      while (r < p.rows) {
-        val row = p(r, ::).t
-        val mx = breeze.linalg.max(row)
-        val e = exp(row - mx)
-        val s = breeze.linalg.sum(e)
-        p(r, ::) := (e / s).t
-        p(r, yt(r)) -= 1.0
-        r += 1
+  /** The rows × cols product of row-major `a` (rows × inner) and `b`
+    * (inner × cols). Each entry is a `Math.fma` chain over ascending inner
+    * index, as a JavaBLAS `dgemm` sums it.
+    */
+  private def times(a: Array[Double], b: Array[Double], rows: Int, inner: Int, cols: Int): Array[Double] = {
+    val out = new Array[Double](rows * cols)
+    for (r <- 0 until rows) {
+      var i = 0
+      while (i < inner) {
+        var j = 0
+        while (j < cols) { out(r * cols + j) = Math.fma(a(r * inner + i), b(i * cols + j), out(r * cols + j)); j += 1 }
+        i += 1
       }
-      val grad = (xt.t * p) / nT + w * l2
-      w -= grad * lr
-      ep += 1
+    }
+    out
+  }
+
+  /** Full-batch softmax regression with L2, plain gradient descent, on the
+    * masked rows of the row-major n × d features `h`. Returns the row-major
+    * d × numClasses weights.
+    */
+  def trainSoftmax(h: Array[Double], d: Int, y: Array[Int], mask: Array[Boolean],
+                   numClasses: Int, epochs: Int = 300, lr: Double = 0.5,
+                   l2: Double = 1e-4, seed: Long = 0): Array[Double] = {
+    val rows = mask.indices.filter(mask).toArray
+    val (nT, k) = (rows.length, numClasses)
+    val xt = rows.flatMap(r => h.slice(r * d, r * d + d))
+    val xtT = Array.tabulate(d * nT)(i => xt((i % nT) * d + i / nT))
+    val rng = new Random(seed)
+    val w = new Array[Double](d * k)
+    for (c <- 0 until k; j <- 0 until d) w(j * k + c) = rng.nextGaussian() * 0.01 // column by column
+    for (_ <- 0 until epochs) {
+      val p = predictProbs(xt, d, w, k)
+      for (r <- 0 until nT) p(r * k + y(rows(r))) -= 1.0
+      val grad = times(xtT, p, d, nT, k)
+      for (i <- w.indices) w(i) -= (grad(i) / nT + w(i) * l2) * lr
     }
     w
   }
 
-  /** Class probabilities for every vertex under weights `w`. */
-  def predictProbs(h: DenseMatrix[Double], w: DenseMatrix[Double]): DenseMatrix[Double] = {
-    val logits = h * w
-    val p = logits.copy
-    var r = 0
-    while (r < p.rows) {
-      val row = p(r, ::).t
-      val mx = breeze.linalg.max(row)
-      val e = exp(row - mx)
-      p(r, ::) := (e / breeze.linalg.sum(e)).t
-      r += 1
+  /** Class probabilities (row-major n × k) of the n × d features `h` under
+    * the d × k weights `w`: the row-wise softmax of h·w.
+    */
+  def predictProbs(h: Array[Double], d: Int, w: Array[Double], k: Int): Array[Double] = {
+    val p = times(h, w, h.length / d, d, k)
+    for (r <- p.indices by k) {
+      var (mx, s) = (p(r), 0.0)
+      for (j <- r + 1 until r + k) mx = math.max(mx, p(j))
+      for (j <- r until r + k) { p(j) = math.exp(p(j) - mx); s += p(j) }
+      for (j <- r until r + k) p(j) /= s
     }
     p
   }
 
   final case class GnnResult(accuracy: Double, auroc: Double)
 
-  /** Train on `trainGraph` (a sparsified graph), test on `fullGraph`. */
-  def run(model: Model, trainGraph: SparkGraph, fullGraph: SparkGraph,
-          data: GnnData, seed: Long = 0): GnnResult = {
-    val n = data.labels.length
-    val x0 = DenseMatrix.tabulate(n, data.features(0).length)((r, c) => data.features(r)(c))
-    // standardize features column-wise
-    val x = x0.copy
-    var c = 0
-    while (c < x.cols) {
-      val col = x(::, c)
-      val mu = breeze.linalg.sum(col) / n
-      val sd = math.sqrt(breeze.linalg.sum((col - mu) *:* (col - mu)) / n + 1e-9)
-      x(::, c) := (col - mu) / sd
-      c += 1
+  /** The features standardized column-wise, row-major n × d. */
+  private def standardized(data: GnnData): Array[Double] = {
+    val (n, d) = (data.labels.length, data.features(0).length)
+    val x = new Array[Double](n * d)
+    for (c <- 0 until d) {
+      val col = data.features.map(_(c))
+      val mu = col.sum / n
+      val sd = math.sqrt(col.map(v => (v - mu) * (v - mu)).sum / n + 1e-9)
+      for (r <- 0 until n) x(r * d + c) = (col(r) - mu) / sd
     }
+    x
+  }
 
+  /** The features `model` is tested on: standardized and, unless MLP-only,
+    * propagated over the full graph `data.graph`. One value per (model,
+    * data), so a sweep computes it once.
+    */
+  def testFeatures(model: Model, data: GnnData): Array[Double] = model match {
+    case MlpOnly => standardized(data)
+    case _       => propagate(data.graph, standardized(data), data.features(0).length, hops = 2)
+  }
+
+  /** Train on `trainGraph` (a sparsified graph); `test` is `testFeatures(model, data)`. */
+  def run(model: Model, trainGraph: SparkGraph, data: GnnData, test: Array[Double],
+          seed: Long = 0): GnnResult = {
+    val (d, k) = (data.features(0).length, data.numClasses)
+    val x = standardized(data)
     val hTrain = model match {
       case MlpOnly        => x
-      case SageLike       => propagate(trainGraph, x, hops = 2)
-      case ClusterGcnLike =>
-        val parts = Louvain.cluster(trainGraph, seed)
-        propagate(trainGraph, x, hops = 2, restrict = Some(parts))
-    }
-    val hTest = model match {
-      case MlpOnly => x
-      case _       => propagate(fullGraph, x, hops = 2)
+      case SageLike       => propagate(trainGraph, x, d, hops = 2)
+      case ClusterGcnLike => propagate(trainGraph, x, d, hops = 2, restrict = Some(Louvain.cluster(trainGraph, seed)))
     }
 
-    val w = trainSoftmax(hTrain, data.labels, data.trainMask, data.numClasses, seed = seed)
-    val probs = predictProbs(hTest, w)
-    val testIdx = data.trainMask.zipWithIndex.collect { case (false, i) => i }
-    val correct = testIdx.count(i => argmax(probs(i, ::).t) == data.labels(i))
+    val w = trainSoftmax(hTrain, d, data.labels, data.trainMask, k, seed = seed)
+    val probs = predictProbs(test, d, w, k)
+    val testIdx = data.trainMask.indices.filterNot(data.trainMask).toArray
+    def predicted(i: Int): Int = (0 until k).maxBy(c => probs(i * k + c)) // the first of equal maxima
+    val correct = testIdx.count(i => predicted(i) == data.labels(i))
     val acc = correct.toDouble / math.max(1, testIdx.length)
-    val auc = if (data.numClasses == 2) auroc(testIdx.map(i => probs(i, 1)), testIdx.map(data.labels(_) == 1)) else acc
+    val auc = if (k == 2) auroc(testIdx.map(i => probs(i * k + 1)), testIdx.map(data.labels(_) == 1)) else acc
     GnnResult(acc, auc)
   }
 

@@ -8,94 +8,84 @@ import repro.core.SparkGraph
   * substrate for the paper's #communities (Fig 8) and clustering-F1
   * (Fig 10) metrics. Standard two-phase modularity optimization on the
   * weighted undirected view; vertex visit order is seeded-random, so runs
-  * are reproducible but (as in the paper) inherently randomized.
+  * are reproducible but (as in the paper) inherently randomized. Every
+  * level is a [[Csr]], and ties are broken canonically, so the partition
+  * follows the edge set and the seed, not the order of the arcs.
   */
 object Louvain {
 
   /** Community label per vertex. Isolated vertices get singleton labels. */
   def cluster(g: SparkGraph, seed: Long = 0): Array[Int] = {
-    val c0 = Csr.fromGraph(g, symmetric = true)
-    // Current coarse graph as adjacency maps; node i of the coarse graph
-    // aggregates a set of original vertices tracked in `membership`.
-    var adj: Array[mutable.LongMap[Double]] = Array.tabulate(c0.n) { v =>
-      val m = mutable.LongMap.empty[Double]
-      c0.foreachNbr(v)((u, w) => if (u != v) m(u.toLong) = m.getOrElse(u.toLong, 0.0) + w)
-      m
-    }
-    var membership: Array[Array[Int]] = Array.tabulate(c0.n)(v => Array(v))
+    var c = Csr.fromGraph(g, symmetric = true)
+    // labels(x): the node of the current level that vertex x belongs to
+    val labels = Array.range(0, c.n)
     // selfW(v) = 2 × internal weight of the vertex-set v aggregates (counts
     // toward its weighted degree k_i but never toward links to OTHER
-    // communities) — dropping it makes later passes over-merge.
-    var selfW: Array[Double] = Array.fill(c0.n)(0.0)
+    // communities) — dropping it makes later passes over-merge. No level
+    // has self-arcs: the graph has none, and contraction moves them here.
+    var selfW = new Array[Double](c.n)
     val rng = new Random(seed)
-    val totalW = adj.map(_.values.sum).sum / 2.0
-    if (totalW <= 0) return Array.tabulate(c0.n)(identity)
+    val m2 = c.wts.sum
+    if (m2 <= 0) return labels
 
-    var improvedOuter = true
-    while (improvedOuter) {
-      val n = adj.length
-      val ki = Array.tabulate(n)(v => adj(v).values.sum + selfW(v)) // weighted degree
-      val comm = Array.tabulate(n)(identity)
+    var moved = true
+    while (moved) {
+      moved = false
+      val n = c.n
+      val ki = Array.tabulate(n) { v => var k = selfW(v); c.foreachNbr(v)((_, w) => k += w); k }
+      val comm = Array.range(0, n)
       val commTot = ki.clone()
-      val m2 = 2.0 * totalW
-
+      // links(k): weight from the visited vertex into community k, for the
+      // communities in touched(0 until nTouched); -1 for every other k
+      val links = Array.fill(n)(-1.0)
+      val touched = new Array[Int](n)
       var improved = true
-      var moved = false
       var rounds = 0
       while (improved && rounds < 32) {
         improved = false
-        val order = rng.shuffle((0 until n).toList)
-        order.foreach { v =>
+        rng.shuffle(Vector.range(0, n)).foreach { v =>
           val cv = comm(v)
-          // weights from v into each neighbouring community
-          val links = mutable.LongMap.empty[Double]
-          adj(v).foreach { case (u, w) => val c = comm(u.toInt); links(c.toLong) = links.getOrElse(c.toLong, 0.0) + w }
-          commTot(cv) -= ki(v)
-          val base = links.getOrElse(cv.toLong, 0.0) - ki(v) * commTot(cv) / m2
-          var bestC = cv; var bestGain = base
-          links.foreach { case (cL, w) =>
-            val c = cL.toInt
-            if (c != cv) {
-              val gain = w - ki(v) * commTot(c) / m2
-              if (gain > bestGain + 1e-12) { bestGain = gain; bestC = c }
-            }
+          var nTouched = 0
+          c.foreachNbr(v) { (u, w) =>
+            val cu = comm(u)
+            if (links(cu) < 0) { links(cu) = 0.0; touched(nTouched) = cu; nTouched += 1 }
+            links(cu) += w
           }
-          commTot(bestC) += ki(v)
-          if (bestC != cv) { comm(v) = bestC; improved = true; moved = true }
+          commTot(cv) -= ki(v)
+          def gain(k: Int): Double = math.max(links(k), 0.0) - ki(v) * commTot(k) / m2
+          // v stays unless a move gains more than 1e-12 over staying; else it
+          // joins the smallest community id within 1e-12 of the best gain
+          val near = touched.take(nTouched)
+          val best = near.foldLeft(gain(cv))((b, k) => math.max(b, gain(k)))
+          val to = if (gain(cv) >= best - 1e-12) cv else near.filter(gain(_) >= best - 1e-12).min
+          near.foreach(links(_) = -1.0)
+          commTot(to) += ki(v)
+          if (to != cv) { comm(v) = to; improved = true; moved = true }
         }
         rounds += 1
       }
 
-      if (!moved) improvedOuter = false
-      else {
-        // Phase 2: contract communities into super-nodes.
+      if (moved) { // Phase 2: contract communities into super-nodes, in id order
         val ids = comm.distinct.sorted
-        val remap = ids.zipWithIndex.toMap
-        val k = ids.length
-        val nadj = Array.fill(k)(mutable.LongMap.empty[Double])
-        val nself = Array.fill(k)(0.0)
-        val nmem = Array.fill(k)(mutable.ArrayBuffer.empty[Int])
-        var v = 0
-        while (v < n) {
-          val cv = remap(comm(v))
-          nmem(cv) ++= membership(v)
+        val id = new Array[Int](n)
+        ids.indices.foreach(i => id(ids(i)) = i)
+        labels.mapInPlace(x => id(comm(x)))
+        val nself = new Array[Double](ids.length)
+        val (src, dst, wt) = (Array.newBuilder[Int], Array.newBuilder[Int], Array.newBuilder[Double])
+        for (v <- 0 until n) {
+          val cv = id(comm(v))
           nself(cv) += selfW(v)
-          adj(v).foreach { case (u, w) =>
-            val cu = remap(comm(u.toInt))
-            if (cu != cv) nadj(cv)(cu.toLong) = nadj(cv).getOrElse(cu.toLong, 0.0) + w
+          c.foreachNbr(v) { (u, w) =>
+            val cu = id(comm(u))
+            if (cu != cv) { src += cv; dst += cu; wt += w }
             else nself(cv) += w // intra arcs appear twice ⇒ nself = 2×internal
           }
-          v += 1
         }
-        if (k == n) improvedOuter = false
-        adj = nadj
+        c = Csr.fromArrays(ids.length, src.result(), dst.result(), wt.result(), bothDirections = false)
         selfW = nself
-        membership = nmem.map(_.toArray)
+        moved = ids.length < n
       }
     }
-
-    val labels = new Array[Int](c0.n)
-    membership.zipWithIndex.foreach { case (vs, c) => vs.foreach(labels(_) = c) }
     labels
   }
 
@@ -164,8 +154,4 @@ object ClusterF1 {
     val recall = sumMax / n
     if (precision + recall <= 0) 0.0 else 2 * precision * recall / (precision + recall)
   }
-
-  /** F1 between Louvain clusterings of the sparsified and original graphs. */
-  def similarity(orig: SparkGraph, spar: SparkGraph, seed: Long = 0): Double =
-    f1(Louvain.cluster(spar, seed + 1), Louvain.cluster(orig, seed))
 }

@@ -234,4 +234,17 @@ class PropertySpec extends SparkSpec {
       assert(Louvain.numCommunities(labels) <= n)
     }
   }
+
+  test("Louvain labels do not depend on the edge order (seeds 0–4)") {
+    val rng = new Random(11)
+    (0 until 5).foreach { seed =>
+      val n = 60 + rng.nextInt(60)
+      val g = randomGraph(s"prop-lv-order-$seed", rng, n, 3 * n, directed = false)(1.0)
+      val (s, d, w) = GraphOps.collectEdges(g)
+      val perm = rng.shuffle(s.indices.toVector).toArray
+      val h = SparkGraph.fromCanonical(s"prop-lv-perm-$seed", perm.map(s), perm.map(d), perm.map(w),
+        directed = false, weighted = false, n)
+      assert(Louvain.cluster(h, seed).toSeq === Louvain.cluster(g, seed).toSeq, s"seed $seed")
+    }
+  }
 }

@@ -20,6 +20,14 @@ class HarnessSpec extends SparkSpec {
     assert(t.contains("0.5000") && t.contains("0.2500"))
   }
 
+  test("Fmt.sweepTable prints a cell voided by a NaN seed as a bare n/a") {
+    val rows = Seq(SweepRow(Sparsifiers.random,
+      Seq(Cell(0.1, 0.1, 0.5, 0.01, 2), Cell(0.9, 0.9, Double.NaN, Double.NaN, 2))))
+    val t = Fmt.sweepTable("void", rows, Seq(0.1, 0.9))
+    assert(t.contains("0.5000±0.010") && t.contains("n/a"))
+    assert(!t.contains("NaN"), t)
+  }
+
   test("Fmt.sweepTable renders fixed-rate rows specially") {
     val rows = Seq(SweepRow(Sparsifiers.spanningForest, Seq(Cell(0.5, 0.87, 1.0, 0.0, 1))))
     val t = Fmt.sweepTable("sf", rows, Seq(0.1, 0.5))

@@ -1,5 +1,6 @@
 package repro.metrics
 
+import scala.util.Random
 import repro.{Oracle, SparkSpec}
 import repro.core.GraphOps
 import repro.graphs.Datasets
@@ -91,6 +92,20 @@ class ClusteringSpec extends SparkSpec {
     val g = GraphOps.fromPairs(spark, "lv-iso", Seq((0, 1), (0, 2), (1, 2)), directed = false, 5)
     val labels = Louvain.cluster(g, seed = 1)
     assert(Louvain.numCommunities(labels) === 3) // triangle + 2 singletons
+  }
+
+  test("Louvain breaks a tie between two moves toward the smaller community id") {
+    // vertex 8 hangs off two 4-cliques by one edge each. Visited first (the
+    // visit order is rng.shuffle(0 until n)), it gains the same by joining
+    // vertex 0's singleton community or vertex 4's, and takes 0's
+    val cliques = for (b <- Seq(0, 4); i <- b until b + 4; j <- i + 1 until b + 4) yield (i, j)
+    val g = GraphOps.fromPairs(spark, "lv-tie", cliques ++ Seq((0, 8), (4, 8)), directed = false, 9)
+    val seeds = Iterator.from(0).filter(s => new Random(s).shuffle((0 until 9).toList).head == 8).take(3)
+    seeds.foreach { seed =>
+      val labels = Louvain.cluster(g, seed)
+      assert(Louvain.numCommunities(labels) === 2, s"seed $seed")
+      assert(labels(8) == labels(0) && labels(8) != labels(4), s"seed $seed")
+    }
   }
 
   test("Louvain recovers planted SBM communities approximately") {

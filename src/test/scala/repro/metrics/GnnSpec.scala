@@ -1,6 +1,5 @@
 package repro.metrics
 
-import breeze.linalg.DenseMatrix
 import repro.SparkSpec
 import repro.core.{GraphOps, Sparsifiers}
 import repro.graphs.Datasets
@@ -34,42 +33,42 @@ class GnnSpec extends SparkSpec {
   test("propagation over an edgeless graph is the identity") {
     val base = GraphOps.fromPairs(spark, "gnn-one", Seq((0, 1)), directed = false, 3)
     val empty = GraphOps.subgraph(base, Array.empty, "empty")
-    val x = DenseMatrix((1.0, 0.0), (0.0, 1.0), (2.0, 2.0))
-    val h = Gnn.propagate(empty, x, hops = 2)
-    assert(h === x)
+    val x = Array(1.0, 0.0, 0.0, 1.0, 2.0, 2.0)
+    val h = Gnn.propagate(empty, x, d = 2, hops = 2)
+    assert(h.toSeq === x.toSeq)
   }
 
   test("propagation averages neighbour features") {
     val g = GraphOps.fromPairs(spark, "gnn-pair", Seq((0, 1)), directed = false, 2)
-    val x = DenseMatrix((2.0), (0.0))
-    val h = Gnn.propagate(g, x, hops = 1)
-    assert(math.abs(h(0, 0) - 1.0) < 1e-12)
-    assert(math.abs(h(1, 0) - 1.0) < 1e-12)
+    val x = Array(2.0, 0.0)
+    val h = Gnn.propagate(g, x, d = 1, hops = 1)
+    assert(math.abs(h(0) - 1.0) < 1e-12)
+    assert(math.abs(h(1) - 1.0) < 1e-12)
   }
 
   test("restricted propagation ignores cross-cluster edges") {
     val g = GraphOps.fromPairs(spark, "gnn-cross", Seq((0, 1)), directed = false, 2)
-    val x = DenseMatrix((2.0), (0.0))
-    val h = Gnn.propagate(g, x, hops = 1, restrict = Some(Array(0, 1)))
-    assert(h(0, 0) === 2.0 && h(1, 0) === 0.0)
+    val x = Array(2.0, 0.0)
+    val h = Gnn.propagate(g, x, d = 1, hops = 1, restrict = Some(Array(0, 1)))
+    assert(h(0) === 2.0 && h(1) === 0.0)
   }
 
   // ---- softmax training ----
   test("softmax regression separates linearly separable data") {
-    val h = DenseMatrix((1.0, 0.0), (0.9, 0.1), (0.0, 1.0), (0.1, 0.9))
+    val h = Array(1.0, 0.0, 0.9, 0.1, 0.0, 1.0, 0.1, 0.9) // 4 × 2, row-major
     val y = Array(0, 0, 1, 1)
     val mask = Array(true, true, true, true)
-    val w = Gnn.trainSoftmax(h, y, mask, numClasses = 2, epochs = 200)
-    val p = Gnn.predictProbs(h, w)
-    assert(p(0, 0) > 0.5 && p(1, 0) > 0.5 && p(2, 1) > 0.5 && p(3, 1) > 0.5)
+    val w = Gnn.trainSoftmax(h, 2, y, mask, numClasses = 2, epochs = 200)
+    val p = Gnn.predictProbs(h, 2, w, 2) // p(r * 2 + c) = P(row r is class c)
+    assert(p(0) > 0.5 && p(2) > 0.5 && p(5) > 0.5 && p(7) > 0.5)
   }
 
   // ---- end-to-end ----
   test("SAGE-like GNN on the SBM dataset beats chance and MLP-only") {
     val data = Datasets.gnn(spark, "Reddit", 0.25)
     val g = data.graph
-    val full = Gnn.run(Gnn.SageLike, g, g, data)
-    val mlp = Gnn.run(Gnn.MlpOnly, g, g, data)
+    val full = Gnn.run(Gnn.SageLike, g, data, Gnn.testFeatures(Gnn.SageLike, data))
+    val mlp = Gnn.run(Gnn.MlpOnly, g, data, Gnn.testFeatures(Gnn.MlpOnly, data))
     assert(full.accuracy > 1.0 / data.numClasses + 0.1, s"GNN acc ${full.accuracy}")
     assert(full.accuracy > mlp.accuracy, s"graph should help: ${full.accuracy} vs ${mlp.accuracy}")
   }
@@ -77,7 +76,7 @@ class GnnSpec extends SparkSpec {
   test("binary proteins-like task yields AUROC above 0.5") {
     val data = Datasets.gnn(spark, "ogbn-proteins", 0.25)
     val g = data.graph
-    val r = Gnn.run(Gnn.SageLike, g, g, data)
+    val r = Gnn.run(Gnn.SageLike, g, data, Gnn.testFeatures(Gnn.SageLike, data))
     assert(r.auroc > 0.6, s"AUROC ${r.auroc}")
   }
 
@@ -85,14 +84,14 @@ class GnnSpec extends SparkSpec {
     val data = Datasets.gnn(spark, "Reddit", 0.25)
     val g = data.graph
     val h = Sparsifiers.random(g, 0.5, 1)
-    val r = Gnn.run(Gnn.SageLike, h, g, data)
+    val r = Gnn.run(Gnn.SageLike, h, data, Gnn.testFeatures(Gnn.SageLike, data))
     assert(r.accuracy > 1.0 / data.numClasses, s"sparsified-train acc ${r.accuracy}")
   }
 
   test("ClusterGCN-like model runs end to end") {
     val data = Datasets.gnn(spark, "Reddit", 0.25)
     val g = data.graph
-    val r = Gnn.run(Gnn.ClusterGcnLike, g, g, data)
+    val r = Gnn.run(Gnn.ClusterGcnLike, g, data, Gnn.testFeatures(Gnn.ClusterGcnLike, data))
     assert(r.accuracy > 1.0 / data.numClasses)
   }
 }
