@@ -28,6 +28,8 @@ final class RankDegree extends Sparsifier {
     val inGraph = new Array[Boolean](adj.n)
     val frontier = mutable.Queue.empty[Int]
     val nonIsolated = (0 until adj.n).filter(adj.degree(_) > 0).toArray
+    val cand = new Array[Int](adj.maxDegree) // arcs of u whose edge is not yet kept
+    val key = new Array[Long](adj.maxDegree)
 
     def addSeed(v: Int): Unit = { if (!inGraph(v)) { inGraph(v) = true }; frontier.enqueue(v) }
 
@@ -38,15 +40,24 @@ final class RankDegree extends Sparsifier {
       while (nKept < target && nonIsolated.nonEmpty) {
         if (frontier.isEmpty) addSeed(nonIsolated(rng.nextInt(nonIsolated.length)))
         val u = frontier.dequeue()
-        // Rank u's neighbours by degree descending (random tie-break).
-        val cand = mutable.ArrayBuffer.empty[(Int, Int)] // (nbr, eid)
-        adj.foreachArc(u)((v, e) => if (!kept.get(e)) cand += ((v, e)))
-        val ranked = rng.shuffle(cand.toSeq).sortBy { case (v, _) => -adj.degree(v) }
-        ranked.take(topK).foreach { case (v, e) =>
+        // Rank u's neighbours by degree descending (random tie-break): a
+        // shuffle, then a stable sort on (−degree, shuffled position).
+        var nCand = 0
+        var a = adj.offsets(u)
+        while (a < adj.offsets(u + 1)) { if (!kept.get(adj.arcEdge(a))) { cand(nCand) = a; nCand += 1 }; a += 1 }
+        Csr.shuffle(rng, cand, nCand)
+        var i = 0
+        while (i < nCand) { key(i) = (-adj.degree(adj.nbrs(cand(i))).toLong << 32) | i; i += 1 }
+        java.util.Arrays.sort(key, 0, nCand)
+        i = 0
+        while (i < math.min(topK, nCand)) {
+          val arc = cand(key(i).toInt)
+          val v = adj.nbrs(arc); val e = adj.arcEdge(arc)
           if (nKept < target && !kept.get(e)) {
             kept.set(e); nKept += 1
             if (!inGraph(v)) addSeed(v)
           }
+          i += 1
         }
       }
     }

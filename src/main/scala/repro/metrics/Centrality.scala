@@ -64,10 +64,18 @@ object Centrality {
   def closeness(g: SparkGraph): Array[Double] = {
     val c = Csr.fromGraph(g, symmetric = true)
     val paths = new Csr.ShortestPaths(c, g.weighted)
-    Array.tabulate(c.n) { v =>
-      if (c.degree(v) == 0) 0.0
-      else { val sum = paths.from(v).sum; if (sum > 0) 1.0 / sum else 0.0 }
+    val sources = (0 until c.n).filter(c.degree(_) > 0).toArray
+    val cl = new Array[Double](c.n)
+    Csr.ShortestPaths.batches(sources.length) { (b, count) =>
+      paths.from(sources, b, count)
+      var k = 0
+      while (k < count) {
+        val sum = paths.sum(k)
+        if (sum > 0) cl(sources(b + k)) = 1.0 / sum
+        k += 1
+      }
     }
+    cl
   }
 
   /** Power-iteration eigenvector centrality. Directed: left eigenvector

@@ -8,8 +8,11 @@ import repro.core.SparkGraph
   * sequential sparsifiers (Rank Degree, Forest Fire, t-Spanner) and every
   * metric (degrees, triangles, BFS/Dijkstra distances, Brandes betweenness,
   * power iterations, Louvain, max-flow). Graphs in this repro are ≤ ~10⁵ edges
-  * (DESIGN.md), so collected arrays are the right tool. Every metric's
-  * unweighted traversal runs on the one BFS kernel, `bfs(s, scratch)`.
+  * (DESIGN.md), so collected arrays are the right tool. The metrics read
+  * distances through one path, `ShortestPaths`: batches of up to 64 sources
+  * by bit-parallel BFS, or Dijkstra per source on weighted graphs.
+  * Components and Brandes, which need a visit order, run the single-source
+  * kernel `bfs(s, scratch)`.
   *
   * Each arc carries the index of the edge it came from (`arcEdge`), so a
   * kept-edge bitset maps straight back to the graph's edge arrays.
@@ -63,20 +66,22 @@ final class Csr(
   def bfs(s: Int): Array[Int] = { val b = new Csr.Bfs(n); bfs(s, b); b.dist }
 
   /** Weighted shortest-path distances from `s`; Infinity = unreachable. */
-  def dijkstra(s: Int): Array[Double] = {
-    val dist = Array.fill(n)(Double.PositiveInfinity)
-    dist(s) = 0.0
+  def dijkstra(s: Int): Array[Double] = { val d = new Array[Double](n); dijkstra(s, d, 0); d }
+
+  /** Dijkstra from `s` into `dist(off until off + n)`. */
+  def dijkstra(s: Int, dist: Array[Double], off: Int): Unit = {
+    java.util.Arrays.fill(dist, off, off + n, Double.PositiveInfinity)
+    dist(off + s) = 0.0
     val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by(-_._1))
     pq.enqueue((0.0, s))
     while (pq.nonEmpty) {
       val (d, u) = pq.dequeue()
-      if (d <= dist(u) + 1e-12) {
+      if (d <= dist(off + u) + 1e-12) {
         foreachNbr(u) { (v, w) =>
-          if (d + w < dist(v)) { dist(v) = d + w; pq.enqueue((d + w, v)) }
+          if (d + w < dist(off + v)) { dist(off + v) = d + w; pq.enqueue((d + w, v)) }
         }
       }
     }
-    dist
   }
 
   /** Connected-component labels (the CSR must be symmetric). */
@@ -128,30 +133,177 @@ object Csr {
     }
   }
 
-  /** Single-source distances, one source at a time: hop counts through the
-    * BFS kernel on unweighted graphs, Dijkstra on weighted ones.
+  /** Shortest-path distances from a batch of up to `Batch` sources; row k
+    * holds the distances from `sources(offset + k)`.
+    *
+    * Unweighted graphs run one bit-parallel multi-source BFS per batch
+    * (Then et al., "The More the Merrier", VLDB 2015): each vertex has one
+    * `Long` word of `seen`, `frontier` and `next` bits, bit k standing for
+    * source k, so one scan of an arc advances every source whose frontier
+    * holds its tail. Each level visits only the vertices whose frontier word
+    * is non-zero, so a batch of one costs what a single BFS costs. Weighted
+    * graphs run `dijkstra` once per source into the same rows.
     */
   final class ShortestPaths(c: Csr, weighted: Boolean) {
-    private val b = new Bfs(c.n)
-    private var src = 0
-    private var wd: Array[Double] = null
+    import ShortestPaths.Batch
+    private val n = c.n
+    private var count = 0
+    private var rows = 0 // sources the distance rows have room for
+    private var hops: Array[Int] = Array.emptyIntArray         // -1 = unreachable
+    private var wd: Array[Double] = Array.emptyDoubleArray     // Infinity = unreachable
+    private val src = new Array[Int](Batch)
+    private val eccs = new Array[Double](Batch)
+    private val one = new Array[Int](1)
+    // The BFS words: all zero between batches, except `seen` on the vertices
+    // that some source reached, `order(0 until reached)`.
+    private val seen, frontier, next = new Array[Long](n)
+    private val order = new Array[Int](n)
+    private var reached = 0
+    private val levelA, levelB = new Array[Int](n) // this level's and the next level's vertices
 
-    def from(s: Int): this.type = { src = s; if (weighted) wd = c.dijkstra(s) else c.bfs(s, b); this }
-
-    /** Distance to `v`; Infinity = unreachable. */
-    def apply(v: Int): Double =
-      if (weighted) wd(v) else if (b.dist(v) < 0) Double.PositiveInfinity else b.dist(v)
-
-    /** The largest finite distance and the smallest vertex id at it. */
-    def farthest: (Double, Int) = {
-      var far = src; var fd = 0.0
-      var v = 0
-      while (v < c.n) { val d = apply(v); if (d.isFinite && d > fd) { fd = d; far = v }; v += 1 }
-      (fd, far)
+    /** Distances from `sources(offset until offset + count)`, count ≤ `Batch`. */
+    def from(sources: Array[Int], offset: Int, count: Int): this.type = {
+      require(count >= 0 && count <= Batch, s"a batch holds at most $Batch sources, not $count")
+      clearBfs()
+      if (count > rows) {
+        rows = count
+        if (weighted) wd = new Array[Double](rows * n) else hops = Array.fill(rows * n)(-1)
+      }
+      this.count = count
+      System.arraycopy(sources, offset, src, 0, count)
+      if (weighted) {
+        var k = 0
+        while (k < count) {
+          c.dijkstra(src(k), wd, k * n)
+          var e = 0.0; var v = 0
+          while (v < n) { val d = wd(k * n + v); if (d.isFinite && d > e) e = d; v += 1 }
+          eccs(k) = e
+          k += 1
+        }
+      } else bfs()
+      this
     }
 
-    /** Sum of the finite distances, in vertex-id order. */
-    def sum: Double = { var t = 0.0; var v = 0; while (v < c.n) { if (apply(v).isFinite) t += apply(v); v += 1 }; t }
+    /** A batch of one: the distances from `s`, read as row 0. */
+    def from(s: Int): this.type = { one(0) = s; from(one, 0, 1) }
+
+    /** Distance from source k to `v`; Infinity = unreachable. */
+    def apply(k: Int, v: Int): Double = {
+      check(k)
+      if (weighted) wd(k * n + v) else { val h = hops(k * n + v); if (h < 0) Double.PositiveInfinity else h }
+    }
+
+    /** Distance from the source of a batch of one. */
+    def apply(v: Int): Double = apply(0, v)
+
+    /** The eccentricity of source k: its largest finite distance. */
+    def ecc(k: Int): Double = { check(k); eccs(k) }
+
+    /** Source k's eccentricity and the smallest vertex id at it. */
+    def farthest(k: Int): (Double, Int) = {
+      val e = ecc(k)
+      var far = src(k) // the source itself reaches nothing else
+      if (e > 0) { far = 0; while (apply(k, far) != e) far += 1 }
+      (e, far)
+    }
+
+    /** `farthest(0)`: for a batch of one. */
+    def farthest: (Double, Int) = farthest(0)
+
+    /** Sum of source k's finite distances, in vertex-id order. */
+    def sum(k: Int): Double = {
+      var t = 0.0; var v = 0
+      while (v < n) { val d = apply(k, v); if (d.isFinite) t += d; v += 1 }
+      t
+    }
+
+    private def check(k: Int): Unit =
+      if (k < 0 || k >= count) throw new IndexOutOfBoundsException(s"source $k of a batch of $count")
+
+    /** Resets the rows and words that the previous batch wrote. */
+    private def clearBfs(): Unit = {
+      var i = 0
+      while (i < reached) {
+        val v = order(i)
+        seen(v) = 0L
+        var k = 0
+        while (k < count) { hops(k * n + v) = -1; k += 1 }
+        i += 1
+      }
+      reached = 0
+    }
+
+    private def bfs(): Unit = {
+      val (off, nbrs, seen, frontier, next, hops) = (c.offsets, c.nbrs, this.seen, this.frontier, this.next, this.hops)
+      var thisLevel = levelA; var nextLevel = levelB
+      var nCur = 0
+      var k = 0
+      while (k < count) {
+        val s = src(k); val bit = 1L << k
+        if (seen(s) == 0L) { order(reached) = s; reached += 1; thisLevel(nCur) = s; nCur += 1 }
+        seen(s) |= bit; frontier(s) |= bit
+        hops(k * n + s) = 0; eccs(k) = 0.0
+        k += 1
+      }
+      var level = 0
+      while (nCur > 0) {
+        level += 1
+        var nNext = 0
+        var i = 0
+        while (i < nCur) {
+          val u = thisLevel(i); val f = frontier(u); frontier(u) = 0L
+          var a = off(u); val end = off(u + 1)
+          while (a < end) {
+            val v = nbrs(a); val bits = f & ~seen(v)
+            if (bits != 0L) {
+              if (next(v) == 0L) { nextLevel(nNext) = v; nNext += 1 }
+              next(v) |= bits
+            }
+            a += 1
+          }
+          i += 1
+        }
+        i = 0
+        while (i < nNext) {
+          val v = nextLevel(i); var bits = next(v); next(v) = 0L
+          if (seen(v) == 0L) { order(reached) = v; reached += 1 }
+          seen(v) |= bits; frontier(v) = bits
+          while (bits != 0L) {
+            val k = java.lang.Long.numberOfTrailingZeros(bits)
+            hops(k * n + v) = level; eccs(k) = level
+            bits &= bits - 1
+          }
+          i += 1
+        }
+        val t = thisLevel; thisLevel = nextLevel; nextLevel = t
+        nCur = nNext
+      }
+    }
+  }
+
+  object ShortestPaths {
+
+    /** Sources per batch: one bit of a `Long` each. */
+    val Batch = 64
+
+    /** Calls `f(offset, count)` for each batch of `total` sources, in order. */
+    def batches(total: Int)(f: (Int, Int) => Unit): Unit = {
+      var b = 0
+      while (b < total) { val k = math.min(Batch, total - b); f(b, k); b += k }
+    }
+  }
+
+  /** Shuffles `xs(0 until len)` in place with the swaps that
+    * `rng.shuffle` makes on a sequence of length `len`: for i from `len`
+    * down to 2, swap i − 1 with `rng.nextInt(i)`.
+    */
+  def shuffle(rng: Random, xs: Array[Int], len: Int): Unit = {
+    var i = len
+    while (i >= 2) {
+      val k = rng.nextInt(i)
+      val t = xs(i - 1); xs(i - 1) = xs(k); xs(k) = t
+      i -= 1
+    }
   }
 
   /** The graph's shared CSR. `symmetric = true` (default) gives the

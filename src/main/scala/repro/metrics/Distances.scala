@@ -24,27 +24,38 @@ object Distances {
     if (pairs.isEmpty) return StretchResult(Double.NaN, 1.0, 0)
     val rng = new Random(seed)
 
-    // Sample distinct sources, BFS once per source, pick random targets.
+    // Draw every source and its targets first (no draw reads a distance),
+    // then run the sources in batches and add up the pairs in draw order.
     val perSource = 10
     val nSources = math.max(1, nPairs / perSource)
-    val dOrig = new Csr.ShortestPaths(co, orig.weighted)
-    val dSpar = new Csr.ShortestPaths(cs, spar.weighted)
-    var stretchSum = 0.0; var reached = 0; var lost = 0
+    val us = new Array[Int](nSources)
+    val vs = new Array[Int](nSources * perSource)
     var s = 0
     while (s < nSources) {
       val compVs = pairs.draw(rng)
-      val u = compVs(rng.nextInt(compVs.size))
-      dOrig.from(u); dSpar.from(u)
+      us(s) = compVs(rng.nextInt(compVs.size))
       var t = 0
-      while (t < perSource) {
-        val v = compVs(rng.nextInt(compVs.size))
-        if (v != u && dOrig(v).isFinite && dOrig(v) > 0) {
-          if (dSpar(v).isFinite) { stretchSum += dSpar(v) / dOrig(v); reached += 1 }
-          else lost += 1
-        }
-        t += 1
-      }
+      while (t < perSource) { vs(s * perSource + t) = compVs(rng.nextInt(compVs.size)); t += 1 }
       s += 1
+    }
+    val dOrig = new Csr.ShortestPaths(co, orig.weighted)
+    val dSpar = new Csr.ShortestPaths(cs, spar.weighted)
+    var stretchSum = 0.0; var reached = 0; var lost = 0
+    Csr.ShortestPaths.batches(nSources) { (b, count) =>
+      dOrig.from(us, b, count); dSpar.from(us, b, count)
+      var k = 0
+      while (k < count) {
+        var i = (b + k) * perSource
+        while (i < (b + k + 1) * perSource) {
+          val v = vs(i)
+          if (v != us(b + k) && dOrig(k, v).isFinite && dOrig(k, v) > 0) {
+            if (dSpar(k, v).isFinite) { stretchSum += dSpar(k, v) / dOrig(k, v); reached += 1 }
+            else lost += 1
+          }
+          i += 1
+        }
+        k += 1
+      }
     }
     val tried = reached + lost
     StretchResult(
@@ -63,16 +74,19 @@ object Distances {
     val rng = new Random(seed)
     val candidates = (0 until co.n).filter(co.degree(_) > 0)
     if (candidates.isEmpty) return StretchResult(Double.NaN, 1.0, 0)
+    val drawn = Array.fill(nSources)(candidates(rng.nextInt(candidates.size)))
+    val sources = drawn.filter(cs.degree(_) > 0)
+    val isolated = nSources - sources.length
     val dOrig = new Csr.ShortestPaths(co, orig.weighted)
     val dSpar = new Csr.ShortestPaths(cs, spar.weighted)
-    var sum = 0.0; var used = 0; var isolated = 0
-    (0 until nSources).foreach { _ =>
-      val v = candidates(rng.nextInt(candidates.size))
-      if (cs.degree(v) == 0) isolated += 1
-      else {
-        val eo = dOrig.from(v).farthest._1
-        val es = dSpar.from(v).farthest._1
-        if (eo > 0) { sum += es / eo; used += 1 }
+    var sum = 0.0; var used = 0
+    Csr.ShortestPaths.batches(sources.length) { (b, count) =>
+      dOrig.from(sources, b, count); dSpar.from(sources, b, count)
+      var k = 0
+      while (k < count) {
+        val eo = dOrig.ecc(k)
+        if (eo > 0) { sum += dSpar.ecc(k) / eo; used += 1 }
+        k += 1
       }
     }
     StretchResult(if (used > 0) sum / used else Double.NaN,

@@ -32,35 +32,55 @@ object Louvain {
     while (moved) {
       moved = false
       val n = c.n
-      val ki = Array.tabulate(n) { v => var k = selfW(v); c.foreachNbr(v)((_, w) => k += w); k }
+      val (off, nbrs, wts) = (c.offsets, c.nbrs, c.wts)
+      val ki = Array.tabulate(n) { v =>
+        var k = selfW(v); var a = off(v)
+        while (a < off(v + 1)) { k += wts(a); a += 1 }
+        k
+      }
       val comm = Array.range(0, n)
       val commTot = ki.clone()
       // links(k): weight from the visited vertex into community k, for the
       // communities in touched(0 until nTouched); -1 for every other k
       val links = Array.fill(n)(-1.0)
       val touched = new Array[Int](n)
+      val visit = new Array[Int](n)
       var improved = true
       var rounds = 0
       while (improved && rounds < 32) {
         improved = false
-        rng.shuffle(Vector.range(0, n)).foreach { v =>
+        var i = 0
+        while (i < n) { visit(i) = i; i += 1 }
+        Csr.shuffle(rng, visit, n) // the order of rng.shuffle(Vector.range(0, n))
+        i = 0
+        while (i < n) {
+          val v = visit(i)
           val cv = comm(v)
           var nTouched = 0
-          c.foreachNbr(v) { (u, w) =>
-            val cu = comm(u)
+          var a = off(v)
+          while (a < off(v + 1)) {
+            val cu = comm(nbrs(a))
             if (links(cu) < 0) { links(cu) = 0.0; touched(nTouched) = cu; nTouched += 1 }
-            links(cu) += w
+            links(cu) += wts(a)
+            a += 1
           }
           commTot(cv) -= ki(v)
           def gain(k: Int): Double = math.max(links(k), 0.0) - ki(v) * commTot(k) / m2
           // v stays unless a move gains more than 1e-12 over staying; else it
           // joins the smallest community id within 1e-12 of the best gain
-          val near = touched.take(nTouched)
-          val best = near.foldLeft(gain(cv))((b, k) => math.max(b, gain(k)))
-          val to = if (gain(cv) >= best - 1e-12) cv else near.filter(gain(_) >= best - 1e-12).min
-          near.foreach(links(_) = -1.0)
+          var best = gain(cv)
+          var t = 0
+          while (t < nTouched) { best = math.max(best, gain(touched(t))); t += 1 }
+          var to = cv
+          if (gain(cv) < best - 1e-12) {
+            to = Int.MaxValue; t = 0
+            while (t < nTouched) { val k = touched(t); if (k < to && gain(k) >= best - 1e-12) to = k; t += 1 }
+          }
+          t = 0
+          while (t < nTouched) { links(touched(t)) = -1.0; t += 1 }
           commTot(to) += ki(v)
           if (to != cv) { comm(v) = to; improved = true; moved = true }
+          i += 1
         }
         rounds += 1
       }
@@ -75,10 +95,12 @@ object Louvain {
         for (v <- 0 until n) {
           val cv = id(comm(v))
           nself(cv) += selfW(v)
-          c.foreachNbr(v) { (u, w) =>
-            val cu = id(comm(u))
-            if (cu != cv) { src += cv; dst += cu; wt += w }
-            else nself(cv) += w // intra arcs appear twice ⇒ nself = 2×internal
+          var a = off(v)
+          while (a < off(v + 1)) {
+            val cu = id(comm(nbrs(a)))
+            if (cu != cv) { src += cv; dst += cu; wt += wts(a) }
+            else nself(cv) += wts(a) // intra arcs appear twice ⇒ nself = 2×internal
+            a += 1
           }
         }
         c = Csr.fromArrays(ids.length, src.result(), dst.result(), wt.result(), bothDirections = false)
