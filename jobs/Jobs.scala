@@ -15,7 +15,6 @@ object JobMain {
     val spark = SparkSession.builder()
       .appName("sparsification-repro")
       .master(SparkMaster.fromEnv)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
     val seeds = args.drop(1).headOption.map(_.toInt).getOrElse(3)

@@ -25,7 +25,7 @@ private[core] object EdgeRanking {
       // negated, so that ascending order is `order` descending
       val key = new Array[Double](deg)
       for (i <- 0 until deg) key(i) = -order(u, c.nbrs(lo + i), c.arcEdge(lo + i))
-      val ranked = sortedIndices(key, (i, j) => c.nbrs(lo + i) < c.nbrs(lo + j))
+      val ranked = Csr.sortedIndices(key, (i, j) => c.nbrs(lo + i) < c.nbrs(lo + j))
       for (r <- 0 until deg) {
         val e = c.arcEdge(lo + ranked(r))
         best(e) = math.min(best(e), score(r + 1, deg))
@@ -55,52 +55,22 @@ private[core] object EdgeRanking {
 
   /** The edge indices in ascending (key, src, dst) order. */
   def sortedEdges(key: Array[Double], src: Array[Int], dst: Array[Int]): Array[Int] =
-    sortedIndices(key, (a, b) => src(a) < src(b) || (src(a) == src(b) && dst(a) < dst(b)))
-
-  /** The indices of `key` in ascending (key, `tieLt`) order. `tieLt` must
-    * strictly order the indices of equal keys, so the order is total and the
-    * result unique. A bottom-up merge sort that moves each key with its
-    * index: comparisons read the keys in sequence, and nothing is boxed.
-    */
-  private def sortedIndices(key: Array[Double], tieLt: (Int, Int) => Boolean): Array[Int] = {
-    val n = key.length
-    var fromKey = key.clone()
-    var fromIdx = Array.range(0, n)
-    var toKey = new Array[Double](n)
-    var toIdx = new Array[Int](n)
-    var width = 1
-    while (width < n) {
-      var lo = 0
-      while (lo < n) {
-        val mid = math.min(lo + width, n)
-        val hi = math.min(lo + 2 * width, n)
-        var i = lo
-        var j = mid
-        var k = lo
-        while (k < hi) {
-          val right = j < hi && (i == mid || fromKey(j) < fromKey(i) ||
-            (fromKey(j) == fromKey(i) && tieLt(fromIdx(j), fromIdx(i))))
-          if (right) { toKey(k) = fromKey(j); toIdx(k) = fromIdx(j); j += 1 }
-          else { toKey(k) = fromKey(i); toIdx(k) = fromIdx(i); i += 1 }
-          k += 1
-        }
-        lo = hi
-      }
-      val tk = fromKey; fromKey = toKey; toKey = tk
-      val ti = fromIdx; fromIdx = toIdx; toIdx = ti
-      width *= 2
-    }
-    fromIdx
-  }
+    Csr.sortedIndices(key, (a, b) => src(a) < src(b) || (src(a) == src(b) && dst(a) < dst(b)))
 
   /** The coarse-grained prune-rate alignment of K-Neighbor and L-Spar
-    * (§3.2 item 1): given each edge's level, the smallest level L with
-    * #edges(level ≤ L) ≥ target, i.e. the `target`-th smallest level (the
-    * largest level if there are fewer edges).
+    * (§3.2 item 1): the edges whose level is at most the `target`-th smallest
+    * level (the largest if there are fewer edges), listed like
+    * [[keepSmallest]]. `level` is non-decreasing in the score, so the cut
+    * extends the first `target` edges through the target-th edge's level.
     */
-  def levelForTarget(levels: Array[Double], target: Int): Double = {
-    val sorted = levels.sorted(Ordering.Double.TotalOrdering)
-    sorted.lift(math.min(target, sorted.length) - 1).getOrElse(0.0)
+  def keepCoarse(g: SparkGraph, score: Array[Double], level: Double => Double, target: Int, suffix: String): SparkGraph = {
+    val (s, d, _) = GraphOps.collectEdges(g)
+    val order = sortedEdges(score, s, d)
+    val t = math.min(target, order.length)
+    val cut = if (t > 0) level(score(order(t - 1))) else 0.0
+    var k = t
+    while (k < order.length && level(score(order(k))) <= cut) k += 1
+    GraphOps.subgraph(g, order.take(k), suffix)
   }
 }
 
@@ -120,9 +90,7 @@ final class KNeighbor extends Sparsifier {
   val deterministic = false
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
-    val lvls = levels(g, seed)
-    val k = EdgeRanking.levelForTarget(lvls, keepCount(g.numEdges, rho))
-    EdgeRanking.keepSmallest(g, lvls, lvls.count(_ <= k), s"KN-$rho-$seed")
+    EdgeRanking.keepCoarse(g, levels(g, seed), identity, keepCount(g.numEdges, rho), s"KN-$rho-$seed")
   }
 
   /** Each edge's level: the smallest rank of its arcs by A-Res key. */
@@ -196,11 +164,7 @@ final class LSpar extends Sparsifier {
     val jaccard = SimilarityScores.forGraph(g).jaccard
     val exps = EdgeRanking.rankArcs(g, (_, _, e) => jaccard(e), EdgeRanking.logExponent)
     // grid of c values with step 0.02: edge kept iff minExp ≤ c
-    val lvls = exps.map(x => math.ceil(x / 0.02))
-    val lvl = EdgeRanking.levelForTarget(lvls, keepCount(g.numEdges, rho))
-    // levels grow with the exponent, so the kept level set is a prefix of
-    // the exponent order
-    EdgeRanking.keepSmallest(g, exps, lvls.count(_ <= lvl), s"LS-$rho")
+    EdgeRanking.keepCoarse(g, exps, x => math.ceil(x / 0.02), keepCount(g.numEdges, rho), s"LS-$rho")
   }
 }
 

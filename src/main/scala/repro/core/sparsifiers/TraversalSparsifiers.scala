@@ -27,23 +27,22 @@ final class RankDegree extends Sparsifier {
     var nKept = 0
     val inGraph = new Array[Boolean](adj.n)
     val frontier = mutable.Queue.empty[Int]
-    val nonIsolated = (0 until adj.n).filter(adj.degree(_) > 0).toArray
+    val nonIsolated = adj.withArcs
     val cand = new Array[Int](adj.maxDegree) // arcs of u whose edge is not yet kept
     val key = new Array[Long](adj.maxDegree)
 
-    def addSeed(v: Int): Unit = { if (!inGraph(v)) { inGraph(v) = true }; frontier.enqueue(v) }
+    def addSeed(v: Int): Unit = { inGraph(v) = true; frontier.enqueue(v) }
 
     if (nonIsolated.nonEmpty) {
-      val nSeeds = math.max(1, adj.n / 100)
-      rng.shuffle(nonIsolated.toSeq).take(nSeeds).foreach(addSeed)
+      val seeds = nonIsolated.clone(); Csr.shuffle(rng, seeds, seeds.length)
+      seeds.take(math.max(1, adj.n / 100)).foreach(addSeed)
 
-      while (nKept < target && nonIsolated.nonEmpty) {
+      while (nKept < target) {
         if (frontier.isEmpty) addSeed(nonIsolated(rng.nextInt(nonIsolated.length)))
         val u = frontier.dequeue()
         // Rank u's neighbours by degree descending (random tie-break): a
         // shuffle, then a stable sort on (−degree, shuffled position).
-        var nCand = 0
-        var a = adj.offsets(u)
+        var nCand = 0; var a = adj.offsets(u)
         while (a < adj.offsets(u + 1)) { if (!kept.get(adj.arcEdge(a))) { cand(nCand) = a; nCand += 1 }; a += 1 }
         Csr.shuffle(rng, cand, nCand)
         var i = 0
@@ -85,42 +84,45 @@ final class ForestFire extends Sparsifier {
     val target = keepCount(m, rho)
     val rng = new Random(seed)
     val burns = new Array[Int](m)
-    val nonIsolated = (0 until adj.n).filter(adj.degree(_) > 0).toArray
+    val nonIsolated = adj.withArcs
     if (nonIsolated.nonEmpty) {
       var totalBurns = 0L
       val targetBurns = (burnRounds * m).toLong
       val visited = new Array[Int](adj.n) // fire-id stamps avoid clearing
       java.util.Arrays.fill(visited, -1)
+      val queue = new Array[Int](adj.n) // a fire enqueues each vertex at most once
+      val cand = new Array[Int](adj.maxDegree) // arcs of u to vertices this fire has not reached
       var fireId = 0
       val maxFires = 50 * (m / math.max(1, nonIsolated.length) + 1) * nonIsolated.length
       while (totalBurns < targetBurns && fireId < maxFires) {
         val start = nonIsolated(rng.nextInt(nonIsolated.length))
-        val queue = mutable.Queue(start)
-        visited(start) = fireId
-        var burned = 0
-        while (queue.nonEmpty && burned < adj.n / 2) {
-          val u = queue.dequeue()
+        queue(0) = start; visited(start) = fireId
+        var head = 0; var tail = 1; var burned = 0
+        while (head < tail && burned < adj.n / 2) {
+          val u = queue(head); head += 1
           // Geometric(p): number of neighbours to burn from u.
           var toBurn = 0
           while (rng.nextDouble() < p) toBurn += 1
           if (toBurn > 0) {
-            val cand = mutable.ArrayBuffer.empty[(Int, Int)]
-            adj.foreachArc(u)((v, e) => if (visited(v) != fireId) cand += ((v, e)))
-            rng.shuffle(cand.toSeq).take(toBurn).foreach { case (v, e) =>
-              burns(e) += 1; totalBurns += 1; burned += 1
-              visited(v) = fireId; queue.enqueue(v)
+            var nCand = 0; var a = adj.offsets(u)
+            while (a < adj.offsets(u + 1)) { if (visited(adj.nbrs(a)) != fireId) { cand(nCand) = a; nCand += 1 }; a += 1 }
+            Csr.shuffle(rng, cand, nCand)
+            var i = 0
+            while (i < math.min(toBurn, nCand)) {
+              val v = adj.nbrs(cand(i))
+              burns(adj.arcEdge(cand(i))) += 1; totalBurns += 1; burned += 1
+              visited(v) = fireId; queue(tail) = v; tail += 1
+              i += 1
             }
           }
         }
         fireId += 1
       }
     }
-    // Keep top-K edges by burn frequency, random tie-break.
-    val order = (0 until m).map(e => (e, burns(e), rng.nextDouble()))
-      .sortBy { case (_, b, r) => (-b, r) }
-    val kept = new BitSet(m)
-    order.take(target).foreach { case (e, _, _) => kept.set(e) }
-    GraphOps.subgraph(g, kept.stream().toArray, s"FF-$rho-$seed")
+    // Keep the top-K edges by burns; ties by one draw per edge, then edge index.
+    val draw = Array.fill(m)(rng.nextDouble())
+    val order = Csr.sortedIndices(burns.map(-_.toDouble), (e, f) => draw(e) < draw(f) || (draw(e) == draw(f) && e < f))
+    GraphOps.subgraph(g, order.take(target).sorted, s"FF-$rho-$seed")
   }
 }
 

@@ -60,24 +60,20 @@ object Datasets {
   def get(spark: SparkSession, name: String, scale: Double = 1.0): SparkGraph =
     cache.getOrElseUpdate((name, scale), build(spark, name, scale))
 
-  private def und(spark: SparkSession, name: String, scale: Double,
-                  pairs: Set[(Int, Int)], n: Int): SparkGraph =
-    GraphOps.fromPairs(spark, s"$name@$scale", pairs.toSeq.sorted, directed = false, n.toLong)
-
-  private def dir(spark: SparkSession, name: String, scale: Double,
-                  pairs: Set[(Int, Int)], n: Int): SparkGraph =
-    GraphOps.fromPairs(spark, s"$name@$scale", pairs.toSeq.sorted, directed = true, n.toLong)
+  private def graph(spark: SparkSession, name: String, scale: Double,
+                    pairs: Set[(Int, Int)], n: Int, directed: Boolean): SparkGraph =
+    GraphOps.fromPairs(spark, s"$name@$scale", pairs.toSeq.sorted, directed, n.toLong)
 
   private def build(spark: SparkSession, name: String, scale: Double): SparkGraph = name match {
     case "ego-Facebook" =>
       val n = sc(1200, scale)
-      und(spark, name, scale, GraphGen.barabasiAlbert(n, math.min(12, n / 4), 11), n)
+      graph(spark, name, scale, GraphGen.barabasiAlbert(n, math.min(12, n / 4), 11), n, directed = false)
 
     case "ego-Twitter" =>
       val n = sc(2400, scale)
       val main = GraphGen.directedPowerLaw(n, math.min(8, n / 4), 13)
       val (pairs, total) = GraphGen.withSatellites(main, n, nSatellites = 4, satSize = math.max(6, n / 60), 17)
-      dir(spark, name, scale, pairs, total)
+      graph(spark, name, scale, pairs, total, directed = true)
 
     case "human_gene2" =>
       val n = sc(600, scale)
@@ -92,31 +88,31 @@ object Datasets {
     case "com-DBLP" =>
       val n = sc(2400, scale)
       val pairs = GraphGen.connect(GraphGen.sbm(n, 24, pIn = 0.10, pOut = 0.0008, seed = 29), n, 31)
-      und(spark, name, scale, pairs, n)
+      graph(spark, name, scale, pairs, n, directed = false)
 
     case "com-Amazon" =>
       val n = sc(2400, scale)
       val pairs = GraphGen.connect(GraphGen.sbm(n, 48, pIn = 0.12, pOut = 0.0004, seed = 37), n, 41)
-      und(spark, name, scale, pairs, n)
+      graph(spark, name, scale, pairs, n, directed = false)
 
     case "email-Enron" =>
       val n = sc(1400, scale)
       val main = GraphGen.barabasiAlbert(n, math.min(6, n / 4), 43)
       val (pairs, total) = GraphGen.withSatellites(main, n, nSatellites = 5, satSize = math.max(6, n / 80), 47)
-      und(spark, name, scale, pairs, total)
+      graph(spark, name, scale, pairs, total, directed = false)
 
     case "ca-AstroPh" =>
       val n = sc(1800, scale)
       val ws = GraphGen.wattsStrogatz(n, 10, 0.25, 53)
       val ba = GraphGen.barabasiAlbert(n, 3, 59) // hubs on the same vertex set
       val (pairs, total) = GraphGen.withSatellites(ws ++ ba, n, nSatellites = 4, satSize = math.max(6, n / 90), 61)
-      und(spark, name, scale, pairs, total)
+      graph(spark, name, scale, pairs, total, directed = false)
 
     case "ca-HepPh" =>
       val n = sc(1400, scale)
       val ws = GraphGen.wattsStrogatz(n, 12, 0.15, 67)
       val (pairs, total) = GraphGen.withSatellites(ws, n, nSatellites = 3, satSize = math.max(6, n / 80), 71)
-      und(spark, name, scale, pairs, total)
+      graph(spark, name, scale, pairs, total, directed = false)
 
     // web graphs: directed power-law cores + small satellite components
     // (Table 3 lists all four as unconnected)
@@ -124,25 +120,25 @@ object Datasets {
       val n = sc(3000, scale)
       val core = GraphGen.directedPowerLaw(n, math.min(10, n / 4), 73)
       val (pairs, total) = GraphGen.withSatellites(core, n, nSatellites = 3, satSize = math.max(6, n / 100), 74)
-      dir(spark, name, scale, pairs, total)
+      graph(spark, name, scale, pairs, total, directed = true)
 
     case "web-Google" =>
       val n = sc(3000, scale)
       val core = GraphGen.directedPowerLaw(n, math.min(6, n / 4), 79)
       val (pairs, total) = GraphGen.withSatellites(core, n, nSatellites = 3, satSize = math.max(6, n / 100), 80)
-      dir(spark, name, scale, pairs, total)
+      graph(spark, name, scale, pairs, total, directed = true)
 
     case "web-NotreDame" =>
       val n = sc(2000, scale)
       val core = GraphGen.directedPowerLaw(n, math.min(5, n / 4), 83)
       val (pairs, total) = GraphGen.withSatellites(core, n, nSatellites = 3, satSize = math.max(6, n / 100), 84)
-      dir(spark, name, scale, pairs, total)
+      graph(spark, name, scale, pairs, total, directed = true)
 
     case "web-Stanford" =>
       val n = sc(2200, scale)
       val core = GraphGen.directedPowerLaw(n, math.min(8, n / 4), 89)
       val (pairs, total) = GraphGen.withSatellites(core, n, nSatellites = 3, satSize = math.max(6, n / 100), 90)
-      dir(spark, name, scale, pairs, total)
+      graph(spark, name, scale, pairs, total, directed = true)
 
     // GNN graphs: planted communities (for the label signal) + a BA hub
     // overlay (real Reddit/proteins graphs have heavy-tailed degrees, which
@@ -151,13 +147,13 @@ object Datasets {
       val n = sc(2000, scale)
       val sbm = GraphGen.sbm(n, 8, pIn = 0.08, pOut = 0.004, seed = 97)
       val hubs = GraphGen.barabasiAlbert(n, 3, 99)
-      und(spark, name, scale, GraphGen.connect(sbm ++ hubs, n, 101), n)
+      graph(spark, name, scale, GraphGen.connect(sbm ++ hubs, n, 101), n, directed = false)
 
     case "ogbn-proteins" =>
       val n = sc(1500, scale)
       val sbm = GraphGen.sbm(n, 2, pIn = 0.05, pOut = 0.008, seed = 103)
       val hubs = GraphGen.barabasiAlbert(n, 3, 105)
-      und(spark, name, scale, GraphGen.connect(sbm ++ hubs, n, 107), n)
+      graph(spark, name, scale, GraphGen.connect(sbm ++ hubs, n, 107), n, directed = false)
 
     case other => throw new NoSuchElementException(s"no dataset '$other'")
   }

@@ -17,16 +17,14 @@ object Connectivity {
   def unreachableRatio(g: SparkGraph): Double = {
     val n = g.numVertices.toDouble
     if (n < 2) return 0.0
-    val comp = Csr.fromGraph(g, symmetric = true).components()
-    val sizes = comp.groupBy(identity).map(_._2.length.toDouble)
-    val reachablePairs = sizes.map(s => s * (s - 1)).sum
-    1.0 - reachablePairs / (n * (n - 1))
+    val pairs = new Csr.ComponentPairs(Csr.fromGraph(g, symmetric = true).components())
+    1.0 - pairs.total.toDouble / (n * (n - 1))
   }
 
   /** Fraction of vertices with no incident edge. */
   def isolatedRatio(g: SparkGraph): Double = {
     val c = Csr.fromGraph(g)
-    (0 until c.n).count(c.degree(_) == 0).toDouble / g.numVertices
+    (c.n - c.withArcs.length).toDouble / g.numVertices
   }
 }
 

@@ -64,7 +64,7 @@ object Centrality {
   def closeness(g: SparkGraph): Array[Double] = {
     val c = Csr.fromGraph(g, symmetric = true)
     val paths = new Csr.ShortestPaths(c, g.weighted)
-    val sources = (0 until c.n).filter(c.degree(_) > 0).toArray
+    val sources = c.withArcs
     val cl = new Array[Double](c.n)
     Csr.ShortestPaths.batches(sources.length) { (b, count) =>
       paths.from(sources, b, count)
@@ -156,12 +156,12 @@ object Centrality {
   }
 
   /** Top-k precision (§3.3.3): overlap of the top-k vertex sets, ties broken
-    * by vertex id for determinism. k=100 in the paper.
+    * by vertex id for determinism. k=100 in the paper. Scores must not be
+    * NaN.
     */
   def topKPrecision(orig: Array[Double], spar: Array[Double], k: Int = 100): Double = {
-    def topK(s: Array[Double]): Set[Int] =
-      s.zipWithIndex.sortBy { case (v, i) => (-v, i) }.take(k).map(_._2).toSet
+    def topK(s: Array[Double]): Array[Int] = Csr.sortedIndices(s.map(-_), _ < _).take(k)
     val kk = math.min(k, orig.length)
-    topK(orig).intersect(topK(spar)).size.toDouble / kk
+    topK(orig).intersect(topK(spar).toSeq).length.toDouble / kk
   }
 }

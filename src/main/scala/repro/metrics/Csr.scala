@@ -12,7 +12,8 @@ import repro.core.SparkGraph
   * distances through one path, `ShortestPaths`: batches of up to 64 sources
   * by bit-parallel BFS, or Dijkstra per source on weighted graphs.
   * Components and Brandes, which need a visit order, run the single-source
-  * kernel `bfs(s, scratch)`.
+  * kernel `bfs(s, scratch)`. Seeded and ranked passes share `Csr.shuffle`,
+  * `Csr.sortedIndices` and each view's `withArcs`.
   *
   * Each arc carries the index of the edge it came from (`arcEdge`), so a
   * kept-edge bitset maps straight back to the graph's edge arrays.
@@ -27,15 +28,12 @@ final class Csr(
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
   def maxDegree: Int = if (n == 0) 0 else (0 until n).map(degree).max
 
+  /** The vertices with a non-empty row in this view, ascending; built once, callers must not write to it. */
+  lazy val withArcs: Array[Int] = Array.range(0, n).filter(degree(_) > 0)
+
   @inline def foreachNbr(v: Int)(f: (Int, Double) => Unit): Unit = {
     var i = offsets(v)
     while (i < offsets(v + 1)) { f(nbrs(i), wts(i)); i += 1 }
-  }
-
-  /** Iterate (neighbour, edge index) pairs of v. */
-  @inline def foreachArc(v: Int)(f: (Int, Int) => Unit): Unit = {
-    var i = offsets(v)
-    while (i < offsets(v + 1)) { f(nbrs(i), arcEdge(i)); i += 1 }
   }
 
   /** The BFS kernel: hop counts from `s` into `b.dist`, and the reached
@@ -119,12 +117,20 @@ object Csr {
     * `comp` (from `components()`): `draw` picks a component of ≥ 2 vertices
     * with probability proportional to its number of ordered pairs, so a pair
     * drawn inside it is uniform over all same-component pairs.
+    *
+    * `draw` walks the groups in the iteration order of the map built by
+    * `comp.indices.groupBy(comp)`: any rewrite of that grouping changes which
+    * component a draw picks, and so moves Fig 4a and Fig 12
+    * (`TraversalParitySpec` pins it).
     */
   final class ComponentPairs(comp: Array[Int]) {
     private val groups = comp.indices.groupBy(comp).values.filter(_.size >= 2).toArray
     private val cum = groups.map(c => c.size.toLong * (c.size - 1)).scanLeft(0L)(_ + _).tail
 
     def isEmpty: Boolean = groups.isEmpty
+
+    /** The number of ordered same-component pairs; 0 with no groups. */
+    def total: Long = cum.lastOption.getOrElse(0L)
 
     /** The vertices of a drawn component, for one `rng.nextDouble()`. */
     def draw(rng: Random): IndexedSeq[Int] = {
@@ -291,6 +297,38 @@ object Csr {
       var b = 0
       while (b < total) { val k = math.min(Batch, total - b); f(b, k); b += k }
     }
+  }
+
+  /** The indices of `key` in ascending (key, `tieLt`) order. `tieLt` must
+    * strictly order the indices of equal keys, so the order is total and the
+    * result unique; keys compare by `<` and `==`, so they must not be NaN.
+    * A bottom-up merge sort that moves each key with its index: comparisons
+    * read the keys in sequence, and nothing is boxed.
+    */
+  def sortedIndices(key: Array[Double], tieLt: (Int, Int) => Boolean): Array[Int] = {
+    val n = key.length
+    var fromKey = key.clone(); var fromIdx = Array.range(0, n)
+    var toKey = new Array[Double](n); var toIdx = new Array[Int](n)
+    var width = 1
+    while (width < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n); val hi = math.min(lo + 2 * width, n)
+        var i = lo; var j = mid; var k = lo
+        while (k < hi) {
+          val right = j < hi && (i == mid || fromKey(j) < fromKey(i) ||
+            (fromKey(j) == fromKey(i) && tieLt(fromIdx(j), fromIdx(i))))
+          if (right) { toKey(k) = fromKey(j); toIdx(k) = fromIdx(j); j += 1 }
+          else { toKey(k) = fromKey(i); toIdx(k) = fromIdx(i); i += 1 }
+          k += 1
+        }
+        lo = hi
+      }
+      val tk = fromKey; fromKey = toKey; toKey = tk
+      val ti = fromIdx; fromIdx = toIdx; toIdx = ti
+      width *= 2
+    }
+    fromIdx
   }
 
   /** Shuffles `xs(0 until len)` in place with the swaps that

@@ -72,9 +72,9 @@ object Distances {
     val co = Csr.fromGraph(orig, symmetric = true)
     val cs = Csr.fromGraph(spar, symmetric = true)
     val rng = new Random(seed)
-    val candidates = (0 until co.n).filter(co.degree(_) > 0)
+    val candidates = co.withArcs
     if (candidates.isEmpty) return StretchResult(Double.NaN, 1.0, 0)
-    val drawn = Array.fill(nSources)(candidates(rng.nextInt(candidates.size)))
+    val drawn = Array.fill(nSources)(candidates(rng.nextInt(candidates.length)))
     val sources = drawn.filter(cs.degree(_) > 0)
     val isolated = nSources - sources.length
     val dOrig = new Csr.ShortestPaths(co, orig.weighted)
@@ -99,11 +99,11 @@ object Distances {
   def approxDiameter(g: SparkGraph, nSeeds: Int = 10, seed: Long = 0): Double = {
     val c = Csr.fromGraph(g, symmetric = true)
     val rng = new Random(seed)
-    val candidates = (0 until c.n).filter(c.degree(_) > 0)
+    val candidates = c.withArcs
     if (candidates.isEmpty) return 0.0
     val paths = new Csr.ShortestPaths(c, g.weighted)
     val results = (0 until nSeeds).map { _ =>
-      var v = candidates(rng.nextInt(candidates.size))
+      var v = candidates(rng.nextInt(candidates.length))
       var best = 0.0
       var it = 0
       while (it < 4) {

@@ -51,7 +51,7 @@ object Louvain {
         improved = false
         var i = 0
         while (i < n) { visit(i) = i; i += 1 }
-        Csr.shuffle(rng, visit, n) // the order of rng.shuffle(Vector.range(0, n))
+        Csr.shuffle(rng, visit, n) // the order scala.util.Random.shuffle gives 0 until n
         i = 0
         while (i < n) {
           val v = visit(i)

@@ -10,7 +10,7 @@ import repro.core.{GraphOps, SparkGraph}
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit); the master comes from [[repro.harness.SparkMaster]]. Broadcast
-  * joins are disabled, as in the `jobs/` mains' session.
+  * joins are disabled, as in perfbench's session.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -45,7 +45,7 @@ object BreezeGnn {
     val xt = DenseMatrix.tabulate(rows.length, h.cols)((r, c) => h(rows(r), c))
     val yt = rows.map(y)
     val rng = new Random(seed)
-    var w = DenseMatrix.tabulate(h.cols, numClasses)((_, _) => rng.nextGaussian() * 0.01)
+    val w = DenseMatrix.tabulate(h.cols, numClasses)((_, _) => rng.nextGaussian() * 0.01)
     val nT = rows.length.toDouble
     var ep = 0
     while (ep < epochs) {
