@@ -12,10 +12,7 @@ object JobMain {
   val fullRhos: Seq[Double] = (1 to 9).map(_ / 10.0)
 
   def run(args: Array[String])(body: (SparkSession, Experiments.Config) => Seq[ExpResult]): Unit = {
-    val spark = SparkSession.builder()
-      .appName("sparsification-repro")
-      .master(SparkMaster.fromEnv)
-      .getOrCreate()
+    val spark = SparkMaster.session("sparsification-repro")
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
     val seeds = args.drop(1).headOption.map(_.toInt).getOrElse(3)
     val cfg = Experiments.Config(scale = scale, rhos = fullRhos, seeds = seeds)

@@ -74,22 +74,26 @@ object EffectiveResistance {
     */
   private val CallingThreadFlops = 1L << 24
 
-  /** Cache of exact resistances keyed by graph content: (src, dst, w, R).
-    * The solve is the expensive one-time cost the paper also amortises
-    * ("we do not include the computation time of the effective resistance
-    * because it is a one-time cost", §4.6).
+  /** Cache of exact resistances keyed by graph content: (src, dst, w, R)
+    * and the solve's dense tail size t. The solve is the expensive one-time
+    * cost the paper also amortises ("we do not include the computation time
+    * of the effective resistance because it is a one-time cost", §4.6).
     */
-  private val cache = TrieMap.empty[SparkGraph.Fingerprint, (Array[Int], Array[Int], Array[Double], Array[Double])]
+  private val cache = TrieMap.empty[SparkGraph.Fingerprint, ((Array[Int], Array[Int], Array[Double], Array[Double]), Int)]
 
   /** The graph's edges and their resistances. Throws if the dense tail of
-    * the solve has more than `maxN` vertices.
+    * the solve has more than `maxN` vertices, on a cache hit too.
     */
-  def resistances(g: SparkGraph, maxN: Int): (Array[Int], Array[Int], Array[Double], Array[Double]) =
-    cache.getOrElseUpdate(g.fingerprint, {
+  def resistances(g: SparkGraph, maxN: Int): (Array[Int], Array[Int], Array[Double], Array[Double]) = {
+    val (edgesAndR, t) = cache.getOrElseUpdate(g.fingerprint, {
       require(!g.directed, "ER requires an undirected graph (symmetrize first)")
       val (src, dst, wt) = GraphOps.collectEdges(g)
-      (src, dst, wt, solve(g.numVertices.toInt, src, dst, wt, DriverPool.shared, maxN, CallingThreadFlops))
+      val (r, t) = solve(g.numVertices.toInt, src, dst, wt, DriverPool.shared, maxN, CallingThreadFlops)
+      ((src, dst, wt, r), t)
     })
+    SparseElimination.requireTail(t, maxN)
+    edgesAndR
+  }
 
   /** R_uv = xᵀ(L + εI)⁻¹x, x = e_u − e_v, ε = 1e-9·n, for every edge of the
     * undirected graph on n vertices given by (src, dst, wt); 0 for a self
@@ -111,16 +115,16 @@ object EffectiveResistance {
     * within one task, so R is bit-identical for any `pool` size.
     */
   def exact(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double], pool: ForkJoinPool): Array[Double] =
-    solve(n, src, dst, wt, pool, Int.MaxValue, 0)
+    solve(n, src, dst, wt, pool, Int.MaxValue, 0)._1
 
-  /** `exact`, but throws if t > `maxTail`, and runs on the calling thread
-    * below `poolFlops`.
+  /** `exact` and the dense tail size t, but throws if t > `maxTail`, and
+    * runs on the calling thread below `poolFlops`.
     */
   private def solve(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double], pool: ForkJoinPool,
-                    maxTail: Int, poolFlops: Long): Array[Double] = {
+                    maxTail: Int, poolFlops: Long): (Array[Double], Int) = {
     val m = src.length
     val eps = 1e-9 * n
-    val (comp, size, bIdx) = ground(n, src, dst, wt)
+    val (comp, size, bIdx) = ground(n, src, dst)
     val diag = new Array[Double](bIdx.count(_ >= 0))
     java.util.Arrays.fill(diag, eps)
     val (eu, ev, off) = (new Array[Int](m), new Array[Int](m), new Array[Double](m))
@@ -164,25 +168,27 @@ object EffectiveResistance {
         e += 1
       }
     }
-    r
+    (r, el.t)
   }
 
   /** Each vertex's component label, each component's size, and each
     * vertex's index in B: −1 for the ground, the component's vertex of
-    * highest degree, ties to the lowest id; the other vertices in ascending
-    * id.
+    * highest degree (a self loop counts twice), ties to the lowest id; the
+    * other vertices in ascending id.
     */
-  private def ground(n: Int, src: Array[Int], dst: Array[Int], wt: Array[Double]): (Array[Int], Array[Int], Array[Int]) = {
-    val csr = Csr.fromArrays(n, src, dst, wt, bothDirections = true)
-    val comp = csr.components()
+  private def ground(n: Int, src: Array[Int], dst: Array[Int]): (Array[Int], Array[Int], Array[Int]) = {
+    val uf = new Csr.UnionFind(n)
+    val degree = new Array[Int](n)
+    var e = 0
+    while (e < src.length) { uf.union(src(e), dst(e)); degree(src(e)) += 1; degree(dst(e)) += 1; e += 1 }
+    val comp = uf.labels()
     val size = new Array[Int](n)
-    val ground = new Array[Int](n)
-    java.util.Arrays.fill(ground, -1)
+    val ground = Array.fill(n)(-1)
     var v = 0
     while (v < n) {
       val c = comp(v)
       size(c) += 1
-      if (ground(c) < 0 || csr.degree(v) > csr.degree(ground(c))) ground(c) = v
+      if (ground(c) < 0 || degree(v) > degree(ground(c))) ground(c) = v
       v += 1
     }
     val bIdx = new Array[Int](n)

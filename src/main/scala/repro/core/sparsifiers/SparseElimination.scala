@@ -194,6 +194,10 @@ private[sparsifiers] object SparseElimination {
   /** Indices of at most this degree are eliminated sparsely. */
   val MaxDegree = 32
 
+  /** Throws if the dense tail of t vertices exceeds `maxTail`; the message names t. */
+  def requireTail(t: Int, maxTail: Int): Unit =
+    require(t <= maxTail, s"dense tail of the ER solve capped at $maxTail vertices (got t = $t)")
+
   /** Factors B with diagonal `diag` and entries B(u, v) = B(v, u) = `off(e)`
     * for e < `edges`, u = `eu(e)`, v = `ev(e)`, u ≠ v; repeated pairs add
     * up. Throws before allocating S if t exceeds `maxTail`; the message
@@ -310,7 +314,7 @@ private[sparsifiers] object SparseElimination {
     /** Positions for the tail, columns as sorted positions, and S. */
     def result(maxTail: Int): SparseElimination = {
       val t = n - k
-      require(t <= maxTail, s"dense tail of the ER solve capped at $maxTail vertices (got t = $t)")
+      requireTail(t, maxTail)
       require(t.toLong * t <= Int.MaxValue, s"dense tail needs t² ≤ 2³¹ − 1 (got t = $t)")
       var v = 0
       var i = k

@@ -138,14 +138,9 @@ final class SpanningForest extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val (src, dst, wt) = GraphOps.collectEdges(g)
-    val parent = Array.tabulate(g.numVertices.toInt)(identity)
-    def find(x: Int): Int = { var r = x; while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }; r }
+    val uf = new Csr.UnionFind(g.numVertices.toInt)
     val kept = new BitSet(src.length)
-    val order = EdgeRanking.sortedEdges(wt, src, dst)
-    order.foreach { e =>
-      val (ru, rv) = (find(src(e)), find(dst(e)))
-      if (ru != rv) { parent(ru) = rv; kept.set(e) }
-    }
+    EdgeRanking.sortedEdges(wt, src, dst).foreach(e => if (uf.union(src(e), dst(e))) kept.set(e))
     GraphOps.subgraph(g, kept.stream().toArray, "SF")
   }
 }

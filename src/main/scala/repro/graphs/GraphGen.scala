@@ -2,6 +2,7 @@ package repro.graphs
 
 import scala.collection.mutable
 import scala.util.Random
+import repro.metrics.Csr
 
 /** Deterministic synthetic graph generators (driver-side edge lists).
   *
@@ -143,19 +144,16 @@ object GraphGen {
   /** Make a pair set connected by chaining components with random edges. */
   def connect(pairs: Set[(Int, Int)], n: Int, seed: Long): Set[(Int, Int)] = {
     val rng = new Random(seed)
-    val parent = Array.tabulate(n)(identity)
-    def find(x: Int): Int = { var r = x; while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }; r }
+    val uf = new Csr.UnionFind(n)
     val out = mutable.Set.empty[(Int, Int)] ++ pairs
-    pairs.foreach { case (u, v) => val (a, b) = (find(u), find(v)); if (a != b) parent(a) = b }
-    val roots = (0 until n).filter(v => find(v) == v)
-    roots.sliding(2).foreach {
-      case Seq(a, b) =>
-        // link a random member of each component pair
-        val ca = (0 until n).filter(find(_) == find(a))
-        val cb = (0 until n).filter(find(_) == find(b))
-        val u = ca(rng.nextInt(ca.length)); val v = cb(rng.nextInt(cb.length))
-        out += canonPair(u, v); parent(find(u)) = find(v)
-      case _ =>
+    pairs.foreach { case (u, v) => uf.union(u, v) }
+    val roots = (0 until n).filter(v => uf.find(v) == v)
+    roots.zip(roots.drop(1)).foreach { case (a, b) =>
+      // link a random member of each component pair
+      val ca = (0 until n).filter(uf.find(_) == uf.find(a))
+      val cb = (0 until n).filter(uf.find(_) == uf.find(b))
+      val u = ca(rng.nextInt(ca.length)); val v = cb(rng.nextInt(cb.length))
+      out += canonPair(u, v); uf.union(u, v)
     }
     out.toSet
   }

@@ -17,8 +17,7 @@ object Connectivity {
   def unreachableRatio(g: SparkGraph): Double = {
     val n = g.numVertices.toDouble
     if (n < 2) return 0.0
-    val pairs = new Csr.ComponentPairs(Csr.fromGraph(g, symmetric = true).components())
-    1.0 - pairs.total.toDouble / (n * (n - 1))
+    1.0 - Csr.fromGraph(g, symmetric = true).componentPairs.total.toDouble / (n * (n - 1))
   }
 
   /** Fraction of vertices with no incident edge. */

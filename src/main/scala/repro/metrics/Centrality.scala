@@ -15,10 +15,11 @@ import repro.core.SparkGraph
 object Centrality {
 
   /** Exact Brandes betweenness on the undirected simple (symmetrized) graph.
-    * The forward pass is the BFS kernel plus a σ pass in visit order; the
-    * backward pass walks that order in reverse and finds each vertex's
-    * predecessors by re-scanning its CSR row for neighbours one hop closer,
-    * so every δ term is still added in stack-pop order.
+    * The forward BFS counts σ(v) += σ(u) in the row scan that discovers v
+    * (Brandes 2001, Alg. 1); its `Int` queue is the visit order. With no
+    * predecessor lists, the backward pass walks that order in reverse and
+    * re-scans each row for neighbours one hop closer, so every δ term is
+    * added in stack-pop order.
     */
   def betweenness(g: SparkGraph): Array[Double] = {
     val c = Csr.undirected(g)
@@ -26,34 +27,34 @@ object Centrality {
     val bc = new Array[Double](c.n)
     val sigma = new Array[Double](c.n)
     val delta = new Array[Double](c.n)
-    val b = new Csr.Bfs(c.n)
-    val (dist, order) = (b.dist, b.order)
+    val dist = Array.fill(c.n)(-1)
+    val order = new Array[Int](c.n)
     var s = 0
     while (s < c.n) {
-      c.bfs(s, b)
-      sigma(s) = 1.0
-      val reached = b.reached
-      var k = 0
-      while (k < reached) {
-        val u = order(k)
+      dist(s) = 0; sigma(s) = 1.0; order(0) = s
+      var head = 0; var tail = 1
+      while (head < tail) {
+        val u = order(head); head += 1
         val du = dist(u) + 1; val su = sigma(u); val end = off(u + 1)
         var i = off(u)
-        while (i < end) { val v = nbrs(i); if (dist(v) == du) sigma(v) += su; i += 1 }
-        k += 1
+        while (i < end) {
+          val v = nbrs(i)
+          if (dist(v) < 0) { dist(v) = du; order(tail) = v; tail += 1 }
+          if (dist(v) == du) sigma(v) += su
+          i += 1
+        }
       }
-      k = reached
+      var k = tail
       while (k > 0) {
         k -= 1
         val w = order(k)
-        val dw = dist(w) - 1; val sw = sigma(w); val cw = 1.0 + delta(w); val end = off(w + 1)
-        var i = off(w)
-        while (i < end) {
-          val u = nbrs(i)
-          if (dist(u) == dw) delta(u) += sigma(u) / sw * cw
-          i += 1
+        if (w != s) { // s has no predecessors, and its cleared neighbours would read as dist −1
+          val dw = dist(w) - 1; val sw = sigma(w); val cw = 1.0 + delta(w); val end = off(w + 1)
+          var i = off(w)
+          while (i < end) { val u = nbrs(i); if (dist(u) == dw) delta(u) += sigma(u) / sw * cw; i += 1 }
+          bc(w) += delta(w)
         }
-        if (w != s) bc(w) += delta(w)
-        sigma(w) = 0.0; delta(w) = 0.0 // w's successors are all popped: clear it for the next source
+        dist(w) = -1; sigma(w) = 0.0; delta(w) = 0.0 // w's successors are all popped: clear it for the next source
       }
       s += 1
     }

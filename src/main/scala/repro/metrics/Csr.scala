@@ -11,9 +11,9 @@ import repro.core.SparkGraph
   * (DESIGN.md), so collected arrays are the right tool. The metrics read
   * distances through one path, `ShortestPaths`: batches of up to 64 sources
   * by bit-parallel BFS, or Dijkstra per source on weighted graphs.
-  * Components and Brandes, which need a visit order, run the single-source
-  * kernel `bfs(s, scratch)`. Seeded and ranked passes share `Csr.shuffle`,
-  * `Csr.sortedIndices` and each view's `withArcs`.
+  * Components come from one `UnionFind`, once per view. Seeded and ranked
+  * passes share `Csr.shuffle`, `Csr.sortedIndices` and each view's
+  * `withArcs`.
   *
   * Each arc carries the index of the edge it came from (`arcEdge`), so a
   * kept-edge bitset maps straight back to the graph's edge arrays.
@@ -36,37 +36,7 @@ final class Csr(
     while (i < offsets(v + 1)) { f(nbrs(i), wts(i)); i += 1 }
   }
 
-  /** The BFS kernel: hop counts from `s` into `b.dist`, and the reached
-    * vertices in visit order into `b.order`, which doubles as the queue.
-    * Resets only the vertices that `b`'s previous search reached.
-    */
-  def bfs(s: Int, b: Csr.Bfs): Unit = {
-    val dist = b.dist; val order = b.order
-    var i = 0
-    while (i < b.reached) { dist(order(i)) = -1; i += 1 }
-    dist(s) = 0; order(0) = s
-    var head = 0; var tail = 1
-    while (head < tail) {
-      val u = order(head); head += 1
-      val du = dist(u) + 1
-      val end = offsets(u + 1)
-      i = offsets(u)
-      while (i < end) {
-        val v = nbrs(i)
-        if (dist(v) < 0) { dist(v) = du; order(tail) = v; tail += 1 }
-        i += 1
-      }
-    }
-    b.reached = tail
-  }
-
-  /** Unweighted BFS distances from `s`; -1 = unreachable. */
-  def bfs(s: Int): Array[Int] = { val b = new Csr.Bfs(n); bfs(s, b); b.dist }
-
-  /** Weighted shortest-path distances from `s`; Infinity = unreachable. */
-  def dijkstra(s: Int): Array[Double] = { val d = new Array[Double](n); dijkstra(s, d, 0); d }
-
-  /** Dijkstra from `s` into `dist(off until off + n)`. */
+  /** Weighted distances from `s` into `dist(off until off + n)`; Infinity = unreachable. */
   def dijkstra(s: Int, dist: Array[Double], off: Int): Unit = {
     java.util.Arrays.fill(dist, off, off + n, Double.PositiveInfinity)
     dist(off + s) = 0.0
@@ -82,35 +52,50 @@ final class Csr(
     }
   }
 
-  /** Connected-component labels (the CSR must be symmetric). */
-  def components(): Array[Int] = {
-    val comp = Array.fill(n)(-1)
-    val b = new Csr.Bfs(n)
-    var c = 0
-    var v = 0
-    while (v < n) {
-      if (comp(v) < 0) {
-        bfs(v, b)
-        var i = 0
-        while (i < b.reached) { comp(b.order(i)) = c; i += 1 }
-        c += 1
-      }
-      v += 1
-    }
-    comp
+  /** Component labels of this view (weak components of a directed one), numbered
+    * by their smallest vertex: a union-find over its arcs, built once per view.
+    * Callers must not write to it.
+    */
+  def components(): Array[Int] = componentLabels
+
+  private lazy val componentLabels: Array[Int] = {
+    val uf = new Csr.UnionFind(n)
+    for (u <- 0 until n; i <- offsets(u) until offsets(u + 1)) uf.union(u, nbrs(i))
+    uf.labels()
   }
+
+  /** The same-component pairs of this view; built once per view. */
+  lazy val componentPairs: Csr.ComponentPairs = new Csr.ComponentPairs(componentLabels)
 }
 
 object Csr {
 
-  /** Scratch space of the BFS kernel for graphs of `n` vertices, reused
-    * across sources: `dist` holds hop counts (-1 = not reached) and
-    * `order(0 until reached)` the reached vertices in visit order.
+  /** Union-find over 0 until n with path halving and no rank: `union(a, b)`
+    * runs `find(a)`, then `find(b)`, then links the first root under the
+    * second. Kruskal and `GraphGen.connect` depend on exactly these steps.
     */
-  final class Bfs(n: Int) {
-    val dist: Array[Int] = Array.fill(n)(-1)
-    val order: Array[Int] = new Array[Int](n)
-    var reached = 0
+  final class UnionFind(n: Int) {
+    private val parent = Array.range(0, n)
+
+    def find(x: Int): Int = { var r = x; while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }; r }
+
+    /** Links the sets of `a` and `b`; false if they were already one set. */
+    def union(a: Int, b: Int): Boolean = {
+      val ra = find(a); val rb = find(b)
+      if (ra != rb) parent(ra) = rb
+      ra != rb
+    }
+
+    /** Each element's set label, sets numbered by their smallest element. */
+    def labels(): Array[Int] = {
+      val label = Array.fill(n)(-1)
+      var sets = 0
+      Array.tabulate(n) { v =>
+        val r = find(v)
+        if (label(r) < 0) { label(r) = sets; sets += 1 }
+        label(r)
+      }
+    }
   }
 
   /** Same-component vertex pairs of a graph whose component labels are
@@ -186,7 +171,7 @@ object Csr {
           eccs(k) = e
           k += 1
         }
-      } else bfs()
+      } else multiSourceBfs()
       this
     }
 
@@ -239,7 +224,7 @@ object Csr {
       reached = 0
     }
 
-    private def bfs(): Unit = {
+    private def multiSourceBfs(): Unit = {
       val (off, nbrs, seen, frontier, next, hops) = (c.offsets, c.nbrs, this.seen, this.frontier, this.next, this.hops)
       var thisLevel = levelA; var nextLevel = levelB
       var nCur = 0

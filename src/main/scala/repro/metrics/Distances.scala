@@ -20,7 +20,7 @@ object Distances {
   def spspStretch(orig: SparkGraph, spar: SparkGraph, nPairs: Int = 2000, seed: Long = 0): StretchResult = {
     val co = Csr.fromGraph(orig, symmetric = true)
     val cs = Csr.fromGraph(spar, symmetric = true)
-    val pairs = new Csr.ComponentPairs(co.components())
+    val pairs = co.componentPairs
     if (pairs.isEmpty) return StretchResult(Double.NaN, 1.0, 0)
     val rng = new Random(seed)
 

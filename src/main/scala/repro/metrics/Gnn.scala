@@ -151,19 +151,19 @@ object Gnn {
     GnnResult(acc, auc)
   }
 
-  /** Rank-based AUROC for binary scores. */
+  /** Rank-based AUROC for binary scores; scores must not be NaN. */
   def auroc(scores: Array[Double], positive: Array[Boolean]): Double = {
     val nPos = positive.count(identity)
     val nNeg = positive.length - nPos
     if (nPos == 0 || nNeg == 0) return 0.5
     // average rank of positives (ties get average rank)
-    val sorted = scores.zip(positive).sortBy(_._1)
+    val sorted = Csr.sortedIndices(scores, _ < _)
     var i = 0; var rankSumPos = 0.0
     while (i < sorted.length) {
       var j = i
-      while (j < sorted.length && sorted(j)._1 == sorted(i)._1) j += 1
+      while (j < sorted.length && scores(sorted(j)) == scores(sorted(i))) j += 1
       val avgRank = (i + 1 + j).toDouble / 2 // ranks i+1..j
-      (i until j).foreach(k => if (sorted(k)._2) rankSumPos += avgRank)
+      (i until j).foreach(k => if (positive(sorted(k))) rankSumPos += avgRank)
       i = j
     }
     (rankSumPos - nPos.toDouble * (nPos + 1) / 2) / (nPos.toDouble * nNeg)

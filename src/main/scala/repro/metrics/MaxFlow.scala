@@ -88,7 +88,7 @@ object MaxFlow {
     * excluded from the mean and reported (Fig 12's unreachable constraint).
     */
   def flowStretch(orig: SparkGraph, spar: SparkGraph, nPairs: Int = 150, seed: Long = 0): FlowStretch = {
-    val pairs = new Csr.ComponentPairs(Csr.fromGraph(orig, symmetric = true).components())
+    val pairs = Csr.fromGraph(orig, symmetric = true).componentPairs
     if (pairs.isEmpty) return FlowStretch(Double.NaN, 1.0, 0)
     val no = network(orig)
     val ns = network(spar)

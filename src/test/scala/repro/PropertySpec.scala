@@ -90,9 +90,9 @@ class PropertySpec extends SparkSpec {
       val edges = Seq.fill(2 * n)((rng.nextInt(n), rng.nextInt(n))).filter(e => e._1 != e._2)
       if (edges.nonEmpty) {
         val g = GraphOps.fromPairs(spark, s"prop-bfs-$it", edges, directed = false, n)
-        val d = Csr.fromGraph(g).bfs(edges.head._1)
+        val d = new Csr.ShortestPaths(Csr.fromGraph(g), weighted = false).from(edges.head._1)
         edges.foreach { case (u, v) =>
-          if (d(u) >= 0 && d(v) >= 0) assert(math.abs(d(u) - d(v)) <= 1)
+          if (d(u).isFinite || d(v).isFinite) assert(math.abs(d(u) - d(v)) <= 1)
         }
       }
     }
@@ -107,7 +107,7 @@ class PropertySpec extends SparkSpec {
         val g = GraphOps.fromPairs(spark, s"prop-cc-$it", edges, directed = false, n)
         val c = Csr.fromGraph(g)
         val comp = c.components()
-        val d0 = c.bfs(0)
+        val d0 = QueueBfs.distances(c, 0)
         (0 until n).foreach(v => assert((comp(v) == comp(0)) === (d0(v) >= 0)))
       }
     }

@@ -9,8 +9,9 @@ import repro.core.{GraphOps, SparkGraph}
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit); the master comes from [[repro.harness.SparkMaster]]. Broadcast
-  * joins are disabled, as in perfbench's session.
+  * limit); the session is [[repro.harness.SparkMaster.session]], the one the
+  * jobs build: 64 shuffle partitions and no broadcast joins, as in
+  * perfbench's session.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -31,13 +32,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder()
-      .master(repro.harness.SparkMaster.fromEnv)
-      .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+    val s = repro.harness.SparkMaster.session("repro")
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

@@ -4,7 +4,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.sparsifiers._
 import repro.graphs.Datasets
-import repro.metrics.{Csr, QuadraticForm}
+import repro.metrics.{Csr, QuadraticForm, QueueBfs}
 
 /** Algorithm-specific behaviour: the guarantees each sparsifier advertises
   * in §2.3 (connectivity, stretch bounds, score ordering, hub bias …).
@@ -122,7 +122,7 @@ class SparsifierBehaviorSpec extends SparkSpec {
     val rng = new scala.util.Random(7)
     (0 until 30).foreach { _ =>
       val s = rng.nextInt(cg.n)
-      val dg = cg.bfs(s); val dh = chh.bfs(s)
+      val dg = QueueBfs.distances(cg, s); val dh = QueueBfs.distances(chh, s)
       dg.indices.foreach { v =>
         if (dg(v) >= 0) {
           assert(dh(v) >= 0, s"spanner disconnected $s->$v")
@@ -247,6 +247,17 @@ class SparsifierBehaviorSpec extends SparkSpec {
     val (_, _, _, r) = EffectiveResistance.resistances(c4, 100)
     // cycle of 4 unit resistors: R_e = 1·3/(1+3) = 0.75 for every edge
     r.foreach(x => assert(math.abs(x - 0.75) < 1e-6))
+  }
+
+  test("ER: a cached solve still throws for a cap below its dense tail") {
+    // K_40: one ground vertex; the other 39 each keep 38 > MaxDegree neighbours, so t = 39
+    val pairs = for (u <- 0 until 40; v <- u + 1 until 40) yield (u, v)
+    val k40 = SparkGraph.fromCanonical("er-cap-k40", pairs.map(_._1).toArray, pairs.map(_._2).toArray,
+      Array.fill(pairs.size)(1.0), directed = false, weighted = false, 40)
+    EffectiveResistance.resistances(k40, EffectiveResistance.MaxDenseN)
+    val err = intercept[IllegalArgumentException](EffectiveResistance.resistances(k40, 38))
+    assert(err.getMessage.contains("t = 39"), err.getMessage)
+    EffectiveResistance.resistances(k40, 39)
   }
 
   test("ER: sum of leverage scores w·R equals n − #components") {

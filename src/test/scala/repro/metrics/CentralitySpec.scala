@@ -40,6 +40,17 @@ class CentralitySpec extends SparkSpec {
     bc.foreach(v => assert(math.abs(v - 1.0) < 1e-9))
   }
 
+  test("betweenness equals the two-pass Brandes bit for bit (30 random graphs)") {
+    val rng = new scala.util.Random(21)
+    (0 until 30).foreach { it =>
+      val n = 10 + rng.nextInt(60)
+      // sparse enough at times to leave several components and isolated vertices
+      val edges = (0, 1) +: Seq.fill(rng.nextInt(2 * n))((rng.nextInt(n), rng.nextInt(n))).filter(e => e._1 != e._2)
+      val g = GraphOps.fromPairs(spark, s"bc-fused-$it", edges, directed = it % 3 == 1, n)
+      assert(Centrality.betweenness(g).toSeq === QueueBfs.betweenness(Csr.undirected(g)).toSeq, s"graph $it")
+    }
+  }
+
   // ---- closeness ----
   test("closeness of a star: hub highest") {
     val cc = Centrality.closeness(star)

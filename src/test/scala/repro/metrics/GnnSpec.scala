@@ -25,6 +25,31 @@ class GnnSpec extends SparkSpec {
     assert(Gnn.auroc(scores, pos) === 0.5)
   }
 
+  test("auroc equals the boxed-sort ranking on tied scores (40 random instances)") {
+    def boxed(scores: Array[Double], positive: Array[Boolean]): Double = {
+      val nPos = positive.count(identity); val nNeg = positive.length - nPos
+      if (nPos == 0 || nNeg == 0) return 0.5
+      val sorted = scores.zip(positive).sortBy(_._1)
+      var i = 0; var rankSumPos = 0.0
+      while (i < sorted.length) {
+        var j = i
+        while (j < sorted.length && sorted(j)._1 == sorted(i)._1) j += 1
+        val avgRank = (i + 1 + j).toDouble / 2
+        (i until j).foreach(k => if (sorted(k)._2) rankSumPos += avgRank)
+        i = j
+      }
+      (rankSumPos - nPos.toDouble * (nPos + 1) / 2) / (nPos.toDouble * nNeg)
+    }
+    val rng = new scala.util.Random(5)
+    val levels = Array(-0.0, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9)
+    (0 until 40).foreach { it =>
+      val len = 1 + rng.nextInt(200)
+      val scores = Array.fill(len)(levels(rng.nextInt(levels.length)))
+      val pos = Array.fill(len)(rng.nextBoolean())
+      assert(Gnn.auroc(scores, pos) === boxed(scores, pos), s"instance $it")
+    }
+  }
+
   test("auroc degenerate classes return 0.5") {
     assert(Gnn.auroc(Array(0.1, 0.9), Array(true, true)) === 0.5)
   }
