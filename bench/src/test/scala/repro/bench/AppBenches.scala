@@ -9,7 +9,7 @@ import repro.harness.Experiments
 class PageRankBench extends BenchBase {
   // A 3-point grid shows the shape; EXPERIMENTS.md's Fig 11 numbers are
   // recorded on it.
-  private lazy val res = Experiments.pageRank(spark, cfg.copy(rhos = Seq(0.1, 0.5, 0.9)))
+  private lazy val res = Experiments.results(spark, "11", cfg.copy(rhos = Seq(0.1, 0.5, 0.9)))
 
   test("Fig 11: produce PageRank tables for a directed and an undirected graph") {
     show(res)
@@ -50,7 +50,7 @@ class PageRankBench extends BenchBase {
 
 /** Fig 12: min-cut/max-flow stretch on ca-HepPh. */
 class MaxFlowBench extends BenchBase {
-  private lazy val res = Experiments.maxFlow(spark, cfg).head
+  private lazy val res = Experiments.results(spark, "12", cfg).head
 
   test("Fig 12: produce the max-flow stretch table") {
     println(res.render)
@@ -77,7 +77,7 @@ class MaxFlowBench extends BenchBase {
   * ClusterGCN-like on Reddit (accuracy). Train on sparsified, test on full.
   */
 class GnnBench extends BenchBase {
-  private lazy val res = Experiments.gnn(spark, cfg)
+  private lazy val res = Experiments.results(spark, "13", cfg)
 
   test("Fig 13: produce both GNN tables") {
     show(res)
@@ -110,7 +110,7 @@ class GnnBench extends BenchBase {
 
 /** Fig 14: sparsification wall-clock time on ogbn-proteins. */
 class TimingBench extends BenchBase {
-  private lazy val res = Experiments.timing(spark, cfg)
+  private lazy val res = Experiments.results(spark, "14", cfg).head
 
   test("Fig 14: produce the timing table (all 13 sparsifier variants)") {
     println(res.render)

@@ -5,7 +5,7 @@ import repro.harness.Experiments
 
 /** Fig 1a/1b: graph connectivity under sparsification (ca-AstroPh). */
 class ConnectivityBench extends BenchBase {
-  private lazy val res = Experiments.connectivity(spark, cfg)
+  private lazy val res = Experiments.results(spark, "1", cfg)
 
   test("Fig 1: produce connectivity tables") {
     show(res)
@@ -44,7 +44,7 @@ class ConnectivityBench extends BenchBase {
 
 /** Fig 2: degree-distribution preservation (ogbn-proteins). */
 class DegreeDistBench extends BenchBase {
-  private lazy val res = Experiments.degreeDistribution(spark, cfg).head
+  private lazy val res = Experiments.results(spark, "2", cfg).head
 
   test("Fig 2: produce the degree-distribution table") {
     println(res.render)
@@ -65,7 +65,7 @@ class DegreeDistBench extends BenchBase {
 
 /** Fig 3: Laplacian quadratic form (com-Amazon). */
 class QuadraticFormBench extends BenchBase {
-  private lazy val res = Experiments.quadraticForm(spark, cfg).head
+  private lazy val res = Experiments.results(spark, "3", cfg).head
 
   test("Fig 3: produce the quadratic-form table") {
     println(res.render)

@@ -13,7 +13,7 @@ import repro.harness.{Experiments, ExpResult}
   *
   * Grid: ρ ∈ {0.1,0.3,0.5,0.7,0.9}, 2 seeds for non-deterministic
   * sparsifiers (paper: step 0.1, 10 seeds). Override with BENCH_SCALE /
-  * BENCH_SEEDS. The `jobs/` mains run the full-resolution sweep.
+  * BENCH_SEEDS. `jobs.FigureJob` runs the full-resolution sweep.
   */
 abstract class BenchBase extends SparkSpec {
   protected val cfg: Experiments.Config = Experiments.Config(

@@ -7,9 +7,9 @@ import repro.harness.Experiments
   * closeness (ca-AstroPh), eigenvector (email-Enron), Katz (ego-Twitter).
   */
 class CentralityBench extends BenchBase {
-  private lazy val bc = Experiments.betweennessCloseness(spark, cfg)
-  private lazy val ev = Experiments.eigenvectorCentrality(spark, cfg).head
-  private lazy val kz = Experiments.katzCentrality(spark, cfg).head
+  private lazy val bc = Experiments.results(spark, "5", cfg)
+  private lazy val ev = Experiments.results(spark, "6", cfg).head
+  private lazy val kz = Experiments.results(spark, "7", cfg).head
 
   test("Fig 5a/5b: produce betweenness and closeness tables") {
     show(bc)

@@ -7,9 +7,9 @@ import repro.harness.Experiments
   * (com-Amazon), GCC (human_gene2), clustering F1 (ca-HepPh).
   */
 class ClusteringBench extends BenchBase {
-  private lazy val comm = Experiments.communities(spark, cfg).head
-  private lazy val coeffs = Experiments.clusteringCoefficients(spark, cfg)
-  private lazy val f1 = Experiments.clusteringF1(spark, cfg).head
+  private lazy val comm = Experiments.results(spark, "8", cfg).head
+  private lazy val coeffs = Experiments.results(spark, "9", cfg)
+  private lazy val f1 = Experiments.results(spark, "10", cfg).head
 
   test("Fig 8: produce the #communities table") {
     println(comm.render)

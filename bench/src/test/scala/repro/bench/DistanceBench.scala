@@ -7,8 +7,8 @@ import repro.harness.Experiments
   * (ca-AstroPh) and approximate diameter (ego-Facebook).
   */
 class DistanceBench extends BenchBase {
-  private lazy val stretch = Experiments.distanceStretch(spark, cfg)
-  private lazy val diam = Experiments.diameter(spark, cfg).head
+  private lazy val stretch = Experiments.results(spark, "4ab", cfg)
+  private lazy val diam = Experiments.results(spark, "4c", cfg).head
 
   test("Fig 4a/4b: produce stretch tables") {
     show(stretch)

@@ -159,15 +159,15 @@ object Datasets {
   }
 
   /** GNN datasets: community-correlated Gaussian node features; labels are
-    * the planted SBM blocks; 50% train mask (deterministic in seed).
+    * the planted SBM blocks; 50% train mask (deterministic in seed). `g` is
+    * the dataset's graph, as [[get]] builds it at some scale.
     */
-  def gnn(spark: SparkSession, name: String, scale: Double = 1.0, dim: Int = 16): GnnData = {
+  def gnn(name: String, g: SparkGraph, dim: Int = 16): GnnData = {
     val (k, seed) = name match {
       case "Reddit"        => (8, 97L)
       case "ogbn-proteins" => (2, 103L)
       case other           => throw new IllegalArgumentException(s"not a GNN dataset: $other")
     }
-    val g = get(spark, name, scale)
     val n = g.numVertices.toInt
     val blocks = GraphGen.sbmBlocks(n, k)
     val rng = new Random(seed + 7)

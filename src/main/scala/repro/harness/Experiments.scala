@@ -1,7 +1,7 @@
 package repro.harness
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Sparsifier, Sparsifiers => S}
+import repro.core.{SparkGraph, Sparsifier, Sparsifiers => S}
 import repro.core.sparsifiers.{EffectiveResistance, SimilarityScores}
 import repro.graphs.Datasets
 import repro.metrics._
@@ -30,199 +30,159 @@ final case class ExpResult(
     * so comparisons against it still favour working sparsifiers.
     */
   def meanOf(sp: Sparsifier): Double = {
-    val cs = rows.find(_.sparsifier eq sp).getOrElse(sys.error(s"no row ${sp.abbrev}"))
-      .cells.map(_.mean).filterNot(_.isNaN)
+    val cs = row(sp).cells.map(_.mean).filterNot(_.isNaN)
     if (cs.isEmpty) 0.0 else cs.sum / cs.size
   }
   /** Value at the largest swept prune rate with a defined measurement. */
   def atMaxRho(sp: Sparsifier): Double = {
-    val cs = rows.find(_.sparsifier eq sp).get.cells.filterNot(_.mean.isNaN)
+    val cs = row(sp).cells.filterNot(_.mean.isNaN)
     if (cs.isEmpty) 0.0 else cs.maxBy(_.rho).mean
   }
+  private def row(sp: Sparsifier): SweepRow =
+    rows.find(_.sparsifier eq sp).getOrElse(throw new NoSuchElementException(s"no row ${sp.abbrev} in '$title'"))
 }
 
-/** The experiments of §4, one function per figure/table group. Shared by
-  * the bench suites (reduced ρ grid) and the `jobs/` spark-submit mains
-  * (full 0.1…0.9 sweep). Sparsifier subsets per figure follow the paper's
-  * own presentation rules (§4: representative subset + always Random).
+/** What a panel's metric computes once on the original graph: the score of
+  * each sparsified graph, the reference line and the optional baseline (see
+  * [[ExpResult]]).
+  */
+final case class Scorer(score: SparkGraph => Double, refValue: Option[Double], baseline: Option[Double] = None)
+
+/** One table of a figure. `metric` runs once on the original graph of
+  * `dataset` and returns the scorer for every cell of the sweep.
+  */
+final case class Panel(title: String, dataset: String, metric: SparkGraph => Scorer)
+
+/** One paper figure: every panel sweeps the same sparsifiers. */
+final case class Figure(id: String, sparsifiers: Seq[Sparsifier], panels: Seq[Panel])
+
+/** The experiments of §4 as data: one [[Figure]] per figure or figure group,
+  * all run by [[run]]. Shared by the bench suites (reduced ρ grid) and
+  * `jobs.FigureJob` (full 0.1…0.9 sweep). Sparsifier subsets per figure
+  * follow the paper's own presentation rules (§4: representative subset +
+  * always Random). Fig 14 is [[timing]], as its cells time `sparsify` itself
+  * rather than score the graph it returns.
   */
 object Experiments {
 
-  final case class Config(scale: Double = 1.0, rhos: Seq[Double] = Seq(0.1, 0.3, 0.5, 0.7, 0.9), seeds: Int = 2)
-
-  /** Fig 1a/1b: connectivity on ca-AstroPh. */
-  def connectivity(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val g = Datasets.get(spark, "ca-AstroPh", cfg.scale)
-    val sps = Seq(S.random, S.kNeighbor, S.localDegree, S.localSimilarity,
-      S.erUnweighted, S.spanningForest, S.tSpanner, S.gSpar, S.scan)
-    val Seq(unreach, isolated) = Sweep.runMulti(g, sps, cfg.rhos, cfg.seeds) { (_, h) =>
-      Seq(Connectivity.unreachableRatio(h), Connectivity.isolatedRatio(h))
-    }
-    Seq(
-      ExpResult("Fig 1a: sd-pair unreachable ratio (ca-AstroPh)", cfg.rhos, unreach,
-        refValue = Some(Connectivity.unreachableRatio(g))),
-      ExpResult("Fig 1b: vertex isolated ratio (ca-AstroPh)", cfg.rhos, isolated,
-        refValue = Some(Connectivity.isolatedRatio(g))))
+  final case class Config(scale: Double = 1.0, rhos: Seq[Double] = Seq(0.1, 0.3, 0.5, 0.7, 0.9), seeds: Int = 2) {
+    require(seeds >= 1, s"seeds must be at least 1, got $seeds")
+    require(scale > 0, s"scale must be positive, got $scale")
   }
 
-  /** Fig 2: degree-distribution Bhattacharyya distance on ogbn-proteins. */
-  def degreeDistribution(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val g = Datasets.get(spark, "ogbn-proteins", cfg.scale)
-    val sps = Seq(S.random, S.localDegree, S.rankDegree, S.kNeighbor, S.forestFire, S.localSimilarity)
-    val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((o, h) => DegreeDistribution.distance(o, h))
-    Seq(ExpResult("Fig 2: degree distribution Bhattacharyya distance (ogbn-proteins)", cfg.rhos, rows,
-      refValue = Some(0.0)))
+  /** A metric whose reference line is its own value on the full graph. */
+  private def onGraph(metric: SparkGraph => Double): SparkGraph => Scorer =
+    g => Scorer(metric, Some(metric(g)))
+
+  /** A metric of (original, sparsified) with a fixed reference line. */
+  private def against(ref: Double)(metric: (SparkGraph, SparkGraph) => Double): SparkGraph => Scorer =
+    g => Scorer(metric(g, _), Some(ref))
+
+  /** Top-100 precision of a centrality ranking against the original one. */
+  private def topK(centrality: SparkGraph => Array[Double]): SparkGraph => Scorer = { g =>
+    val orig = centrality(g)
+    Scorer(h => Centrality.topKPrecision(orig, centrality(h)), Some(1.0))
   }
 
-  /** Fig 3: Laplacian quadratic form ratio on com-Amazon. */
-  def quadraticForm(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val g = Datasets.get(spark, "com-Amazon", cfg.scale)
-    val sps = Seq(S.erWeighted, S.erUnweighted, S.random, S.localDegree, S.gSpar)
-    val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((o, h) => QuadraticForm.meanRatio(o, h, nVectors = 100))
-    Seq(ExpResult("Fig 3: Laplacian quadratic form ratio (com-Amazon)", cfg.rhos, rows,
-      refValue = Some(1.0)))
-  }
-
-  /** Fig 4a/4b: SPSP + eccentricity stretch on ca-AstroPh. */
-  def distanceStretch(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val g = Datasets.get(spark, "ca-AstroPh", cfg.scale)
-    val sps = Seq(S.localDegree, S.rankDegree, S.lSpar, S.erUnweighted, S.forestFire,
-      S.kNeighbor, S.gSpar, S.scan, S.random, S.spanningForest, S.tSpanner)
-    val Seq(spsp, ecc) = Sweep.runMulti(g, sps, cfg.rhos, cfg.seeds) { (o, h) =>
-      Seq(Distances.spspStretch(o, h, nPairs = 1500).meanStretch,
-        Distances.eccentricityStretch(o, h, nSources = 150).meanStretch)
-    }
-    Seq(
-      ExpResult("Fig 4a: SPSP mean stretch factor (ca-AstroPh)", cfg.rhos, spsp, refValue = Some(1.0)),
-      ExpResult("Fig 4b: eccentricity mean stretch factor (ca-AstroPh)", cfg.rhos, ecc, refValue = Some(1.0)))
-  }
-
-  /** Fig 4c: diameter on ego-Facebook. */
-  def diameter(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val g = Datasets.get(spark, "ego-Facebook", cfg.scale)
-    val sps = Seq(S.localDegree, S.rankDegree, S.gSpar, S.scan, S.localSimilarity, S.random)
-    val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((_, h) => Distances.approxDiameter(h))
-    Seq(ExpResult("Fig 4c: approx diameter (ego-Facebook)", cfg.rhos, rows,
-      refValue = Some(Distances.approxDiameter(g))))
-  }
-
-  /** Fig 5a/5b: betweenness on com-DBLP, closeness on ca-AstroPh. */
-  def betweennessCloseness(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val sps = Seq(S.localDegree, S.rankDegree, S.random, S.lSpar, S.gSpar, S.scan, S.forestFire)
-    val gb = Datasets.get(spark, "com-DBLP", cfg.scale)
-    val bOrig = Centrality.betweenness(gb)
-    val bRows = Sweep.run(gb, sps, cfg.rhos, cfg.seeds)((_, h) =>
-      Centrality.topKPrecision(bOrig, Centrality.betweenness(h)))
-    val gc = Datasets.get(spark, "ca-AstroPh", cfg.scale)
-    val cOrig = Centrality.closeness(gc)
-    val cRows = Sweep.run(gc, sps, cfg.rhos, cfg.seeds)((_, h) =>
-      Centrality.topKPrecision(cOrig, Centrality.closeness(h)))
-    Seq(
-      ExpResult("Fig 5a: betweenness top-100 precision (com-DBLP)", cfg.rhos, bRows, refValue = Some(1.0)),
-      ExpResult("Fig 5b: closeness top-100 precision (ca-AstroPh)", cfg.rhos, cRows, refValue = Some(1.0)))
-  }
-
-  /** Fig 6: eigenvector centrality on email-Enron. */
-  def eigenvectorCentrality(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val g = Datasets.get(spark, "email-Enron", cfg.scale)
-    val sps = Seq(S.rankDegree, S.localDegree, S.random, S.forestFire, S.kNeighbor)
-    val orig = Centrality.eigenvector(g)
-    val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((_, h) =>
-      Centrality.topKPrecision(orig, Centrality.eigenvector(h)))
-    Seq(ExpResult("Fig 6: eigenvector top-100 precision (email-Enron)", cfg.rhos, rows, refValue = Some(1.0)))
-  }
-
-  /** Fig 7: Katz centrality on ego-Twitter (directed). */
-  def katzCentrality(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val g = Datasets.get(spark, "ego-Twitter", cfg.scale)
-    val sps = Seq(S.random, S.kNeighbor, S.erUnweighted, S.localDegree, S.rankDegree, S.forestFire)
-    val orig = Centrality.katz(g)
-    val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((_, h) =>
-      Centrality.topKPrecision(orig, Centrality.katz(h)))
-    Seq(ExpResult("Fig 7: Katz top-100 precision (ego-Twitter)", cfg.rhos, rows, refValue = Some(1.0)))
-  }
-
-  /** Fig 8: number of Louvain communities on com-DBLP. */
-  def communities(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val g = Datasets.get(spark, "com-DBLP", cfg.scale)
-    val sps = Seq(S.localDegree, S.kNeighbor, S.spanningForest, S.tSpanner, S.gSpar, S.rankDegree, S.random)
-    val ref = Louvain.numCommunities(Louvain.cluster(g, 0)).toDouble
-    val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((_, h) =>
-      Louvain.numCommunities(Louvain.cluster(h, 0)).toDouble)
-    Seq(ExpResult("Fig 8: number of communities (com-DBLP)", cfg.rhos, rows, refValue = Some(ref)))
-  }
-
-  /** Fig 9a/9b: MCC on com-Amazon, GCC on human_gene2. */
-  def clusteringCoefficients(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val sps = Seq(S.localSimilarity, S.scan, S.gSpar, S.random, S.localDegree, S.kNeighbor, S.spanningForest)
-    val ga = Datasets.get(spark, "com-Amazon", cfg.scale)
-    val mccRows = Sweep.run(ga, sps, cfg.rhos, cfg.seeds)((_, h) => ClusteringCoeffs.mcc(h))
-    val gg = Datasets.get(spark, "human_gene2", cfg.scale)
-    val gccRows = Sweep.run(gg, sps, cfg.rhos, cfg.seeds)((_, h) => ClusteringCoeffs.gcc(h))
-    Seq(
-      ExpResult("Fig 9a: mean clustering coefficient (com-Amazon)", cfg.rhos, mccRows,
-        refValue = Some(ClusteringCoeffs.mcc(ga))),
-      ExpResult("Fig 9b: global clustering coefficient (human_gene2)", cfg.rhos, gccRows,
-        refValue = Some(ClusteringCoeffs.gcc(gg))))
-  }
-
-  /** Fig 10: clustering F1 similarity on ca-HepPh. */
-  def clusteringF1(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val g = Datasets.get(spark, "ca-HepPh", cfg.scale)
-    val sps = Seq(S.erUnweighted, S.erWeighted, S.kNeighbor, S.localDegree, S.lSpar,
-      S.localSimilarity, S.scan, S.gSpar, S.random)
-    // green line: F1 of two independent Louvain runs on the original graph
-    val ref = ClusterF1.f1(Louvain.cluster(g, 1), Louvain.cluster(g, 2))
-    val orig = Louvain.cluster(g, 0)
-    val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((_, h) => ClusterF1.f1(Louvain.cluster(h, 1), orig))
-    Seq(ExpResult("Fig 10: clustering F1 similarity (ca-HepPh)", cfg.rhos, rows, refValue = Some(ref)))
-  }
-
-  /** Fig 11a/11b: PageRank top-100 precision on web-Google and ego-Facebook. */
-  def pageRank(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val sps = Seq(S.erUnweighted, S.erWeighted, S.kNeighbor, S.random, S.gSpar, S.scan, S.localDegree, S.rankDegree)
-    def exp(dataset: String, tag: String): ExpResult = {
-      val g = Datasets.get(spark, dataset, cfg.scale)
-      // 12 power iterations: top-100 ranking is stable well before full
-      // convergence.
-      val iters = 12
-      val orig = Centrality.pagerank(g, iters)
-      val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((_, h) =>
-        Centrality.topKPrecision(orig, Centrality.pagerank(h, iters)))
-      ExpResult(s"Fig $tag: PageRank top-100 precision ($dataset)", cfg.rhos, rows, refValue = Some(1.0))
-    }
-    Seq(exp("web-Google", "11a"), exp("ego-Facebook", "11b"))
-  }
-
-  /** Fig 12: min-cut/max-flow mean stretch on ca-HepPh. */
-  def maxFlow(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val g = Datasets.get(spark, "ca-HepPh", cfg.scale)
-    val sps = Seq(S.erWeighted, S.erUnweighted, S.kNeighbor, S.forestFire, S.gSpar, S.scan, S.random)
-    val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((o, h) =>
-      MaxFlow.flowStretch(o, h, nPairs = 120).meanStretch)
-    Seq(ExpResult("Fig 12: min-cut/max-flow mean stretch (ca-HepPh)", cfg.rhos, rows, refValue = Some(1.0)))
-  }
-
-  /** Fig 13a/13b: GNNs — SAGE-like on ogbn-proteins (AUROC), ClusterGCN-like
-    * on Reddit (accuracy). Green line = full-graph training; red = MLP-only.
+  /** Fig 13: train `model` on the sparsified graph and test on the full one.
+    * Green line = full-graph training; red = MLP-only.
     */
-  def gnn(spark: SparkSession, cfg: Config): Seq[ExpResult] = {
-    val sps = Seq(S.random, S.localSimilarity, S.gSpar, S.scan, S.localDegree, S.rankDegree)
-    def exp(dataset: String, model: Gnn.Model, tag: String, useAuroc: Boolean): ExpResult = {
-      val data = Datasets.gnn(spark, dataset, cfg.scale)
-      val g = data.graph
-      def score(r: Gnn.GnnResult) = if (useAuroc) r.auroc else r.accuracy
+  private def gnn(tag: String, dataset: String, model: Gnn.Model, useAuroc: Boolean): Panel = {
+    def score(r: Gnn.GnnResult) = if (useAuroc) r.auroc else r.accuracy
+    val metricName = if (useAuroc) "AUROC" else "accuracy"
+    Panel(s"Fig $tag: ${model.getClass.getSimpleName.stripSuffix("$")} $metricName ($dataset)", dataset, { g =>
+      val data = Datasets.gnn(dataset, g)
       val test = Gnn.testFeatures(model, data)
       val full = score(Gnn.run(model, g, data, test))
       val mlp = score(Gnn.run(Gnn.MlpOnly, g, data, Gnn.testFeatures(Gnn.MlpOnly, data)))
-      val rows = Sweep.run(g, sps, cfg.rhos, cfg.seeds)((_, h) => score(Gnn.run(model, h, data, test)))
-      val metricName = if (useAuroc) "AUROC" else "accuracy"
-      ExpResult(s"Fig $tag: ${model.getClass.getSimpleName.stripSuffix("$")} $metricName ($dataset)",
-        cfg.rhos, rows, refValue = Some(full), baseline = Some(mlp))
-    }
-    Seq(
-      exp("ogbn-proteins", Gnn.SageLike, "13a", useAuroc = true),
-      exp("Reddit", Gnn.ClusterGcnLike, "13b", useAuroc = false))
+      Scorer(h => score(Gnn.run(model, h, data, test)), Some(full), Some(mlp))
+    })
+  }
+
+  /** Every figure but Fig 14, in paper order. */
+  val figures: Seq[Figure] = Seq(
+    Figure("1", Seq(S.random, S.kNeighbor, S.localDegree, S.localSimilarity,
+      S.erUnweighted, S.spanningForest, S.tSpanner, S.gSpar, S.scan), Seq(
+      Panel("Fig 1a: sd-pair unreachable ratio (ca-AstroPh)", "ca-AstroPh", onGraph(Connectivity.unreachableRatio)),
+      Panel("Fig 1b: vertex isolated ratio (ca-AstroPh)", "ca-AstroPh", onGraph(Connectivity.isolatedRatio)))),
+    Figure("2", Seq(S.random, S.localDegree, S.rankDegree, S.kNeighbor, S.forestFire, S.localSimilarity), Seq(
+      Panel("Fig 2: degree distribution Bhattacharyya distance (ogbn-proteins)", "ogbn-proteins",
+        against(0.0)(DegreeDistribution.distance)))),
+    Figure("3", Seq(S.erWeighted, S.erUnweighted, S.random, S.localDegree, S.gSpar), Seq(
+      Panel("Fig 3: Laplacian quadratic form ratio (com-Amazon)", "com-Amazon",
+        against(1.0)(QuadraticForm.meanRatio(_, _, nVectors = 100))))),
+    Figure("4ab", Seq(S.localDegree, S.rankDegree, S.lSpar, S.erUnweighted, S.forestFire,
+      S.kNeighbor, S.gSpar, S.scan, S.random, S.spanningForest, S.tSpanner), Seq(
+      Panel("Fig 4a: SPSP mean stretch factor (ca-AstroPh)", "ca-AstroPh",
+        against(1.0)(Distances.spspStretch(_, _, nPairs = 1500).meanStretch)),
+      Panel("Fig 4b: eccentricity mean stretch factor (ca-AstroPh)", "ca-AstroPh",
+        against(1.0)(Distances.eccentricityStretch(_, _, nSources = 150).meanStretch)))),
+    Figure("4c", Seq(S.localDegree, S.rankDegree, S.gSpar, S.scan, S.localSimilarity, S.random), Seq(
+      Panel("Fig 4c: approx diameter (ego-Facebook)", "ego-Facebook", onGraph(Distances.approxDiameter(_))))),
+    Figure("5", Seq(S.localDegree, S.rankDegree, S.random, S.lSpar, S.gSpar, S.scan, S.forestFire), Seq(
+      Panel("Fig 5a: betweenness top-100 precision (com-DBLP)", "com-DBLP", topK(Centrality.betweenness)),
+      Panel("Fig 5b: closeness top-100 precision (ca-AstroPh)", "ca-AstroPh", topK(Centrality.closeness)))),
+    Figure("6", Seq(S.rankDegree, S.localDegree, S.random, S.forestFire, S.kNeighbor), Seq(
+      Panel("Fig 6: eigenvector top-100 precision (email-Enron)", "email-Enron", topK(Centrality.eigenvector(_))))),
+    Figure("7", Seq(S.random, S.kNeighbor, S.erUnweighted, S.localDegree, S.rankDegree, S.forestFire), Seq(
+      Panel("Fig 7: Katz top-100 precision (ego-Twitter)", "ego-Twitter", topK(Centrality.katz(_))))),
+    Figure("8", Seq(S.localDegree, S.kNeighbor, S.spanningForest, S.tSpanner, S.gSpar, S.rankDegree,
+      S.random), Seq(
+      Panel("Fig 8: number of communities (com-DBLP)", "com-DBLP",
+        onGraph(g => Louvain.numCommunities(Louvain.cluster(g, 0)).toDouble)))),
+    Figure("9", Seq(S.localSimilarity, S.scan, S.gSpar, S.random, S.localDegree, S.kNeighbor,
+      S.spanningForest), Seq(
+      Panel("Fig 9a: mean clustering coefficient (com-Amazon)", "com-Amazon", onGraph(ClusteringCoeffs.mcc)),
+      Panel("Fig 9b: global clustering coefficient (human_gene2)", "human_gene2", onGraph(ClusteringCoeffs.gcc)))),
+    Figure("10", Seq(S.erUnweighted, S.erWeighted, S.kNeighbor, S.localDegree, S.lSpar,
+      S.localSimilarity, S.scan, S.gSpar, S.random), Seq(
+      Panel("Fig 10: clustering F1 similarity (ca-HepPh)", "ca-HepPh", { g =>
+        // green line: F1 of two independent Louvain runs on the original graph
+        val ref = ClusterF1.f1(Louvain.cluster(g, 1), Louvain.cluster(g, 2))
+        val orig = Louvain.cluster(g, 0)
+        Scorer(h => ClusterF1.f1(Louvain.cluster(h, 1), orig), Some(ref))
+      }))),
+    Figure("11", Seq(S.erUnweighted, S.erWeighted, S.kNeighbor, S.random, S.gSpar, S.scan,
+      S.localDegree, S.rankDegree),
+      // 12 power iterations: top-100 ranking is stable well before full
+      // convergence.
+      Seq("11a" -> "web-Google", "11b" -> "ego-Facebook").map { case (tag, dataset) =>
+        Panel(s"Fig $tag: PageRank top-100 precision ($dataset)", dataset, topK(Centrality.pagerank(_, 12)))
+      }),
+    Figure("12", Seq(S.erWeighted, S.erUnweighted, S.kNeighbor, S.forestFire, S.gSpar, S.scan, S.random), Seq(
+      Panel("Fig 12: min-cut/max-flow mean stretch (ca-HepPh)", "ca-HepPh",
+        against(1.0)(MaxFlow.flowStretch(_, _, nPairs = 120).meanStretch)))),
+    Figure("13", Seq(S.random, S.localSimilarity, S.gSpar, S.scan, S.localDegree, S.rankDegree), Seq(
+      gnn("13a", "ogbn-proteins", Gnn.SageLike, useAuroc = true),
+      gnn("13b", "Reddit", Gnn.ClusterGcnLike, useAuroc = false))))
+
+  /** Every figure id [[results]] takes, in paper order. */
+  val ids: Seq[String] = figures.map(_.id) :+ "14"
+
+  /** Fails unless `id` is one of [[ids]], and names them if not. */
+  def requireId(id: String): Unit =
+    require(ids.contains(id), s"unknown figure id '$id'; valid ids: ${ids.mkString(" ")}")
+
+  /** The tables of the figure with id `id`. */
+  def results(spark: SparkSession, id: String, cfg: Config): Seq[ExpResult] = {
+    requireId(id)
+    if (id == "14") Seq(timing(spark, cfg)) else run(spark, figures.find(_.id == id).get, cfg)
+  }
+
+  /** Sweeps `figure` and returns one table per panel, in panel order. Each
+    * dataset is swept once for all its panels, so they score the same
+    * sparsified graphs.
+    */
+  def run(spark: SparkSession, figure: Figure, cfg: Config): Seq[ExpResult] = {
+    val tables = figure.panels.map(_.dataset).distinct.flatMap { name =>
+      val g = Datasets.get(spark, name, cfg.scale)
+      val panels = figure.panels.filter(_.dataset == name)
+      val scorers = panels.map(_.metric(g))
+      val rows = Sweep.runMulti(g, figure.sparsifiers, cfg.rhos, cfg.seeds)((_, h) => scorers.map(_.score(h)))
+      panels.indices.map(k =>
+        panels(k) -> ExpResult(panels(k).title, cfg.rhos, rows(k), scorers(k).refValue, scorers(k).baseline))
+    }.toMap
+    figure.panels.map(tables)
   }
 
   /** Fig 14: sparsification wall-clock time on ogbn-proteins. */

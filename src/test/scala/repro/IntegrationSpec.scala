@@ -52,23 +52,23 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("experiment: connectivity produces two result tables") {
-    val res = Experiments.connectivity(spark, cfg)
+    val res = Experiments.results(spark, "1", cfg)
     assert(res.size === 2)
     res.foreach(r => assert(r.rows.nonEmpty && r.render.nonEmpty))
   }
 
   test("experiment: degree distribution runs end to end") {
-    val res = Experiments.degreeDistribution(spark, cfg)
+    val res = Experiments.results(spark, "2", cfg)
     assert(res.head.rows.forall(_.cells.forall(c => c.mean >= 0)))
   }
 
   test("experiment: diameter reports a positive reference") {
-    val res = Experiments.diameter(spark, cfg)
+    val res = Experiments.results(spark, "4c", cfg)
     assert(res.head.refValue.exists(_ > 0))
   }
 
   test("ExpResult helpers (meanOf, atMaxRho) work") {
-    val res = Experiments.degreeDistribution(spark, cfg).head
+    val res = Experiments.results(spark, "2", cfg).head
     val sp = res.rows.head.sparsifier
     assert(!res.meanOf(sp).isNaN)
     assert(!res.atMaxRho(sp).isNaN)

@@ -93,7 +93,7 @@ class GraphGenSpec extends SparkSpec {
 
   test("GNN datasets carry features, labels and masks of matching size") {
     for (name <- Seq("Reddit", "ogbn-proteins")) {
-      val d = Datasets.gnn(spark, name, 0.15)
+      val d = Datasets.gnn(name, Datasets.get(spark, name, 0.15))
       val n = d.graph.numVertices.toInt
       assert(d.features.length === n && d.labels.length === n && d.trainMask.length === n)
       assert(d.labels.max === d.numClasses - 1)
@@ -102,7 +102,7 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("gnn rejects non-GNN datasets") {
-    intercept[IllegalArgumentException](Datasets.gnn(spark, "ego-Facebook", 0.15))
+    intercept[IllegalArgumentException](Datasets.gnn("ego-Facebook", Datasets.get(spark, "ego-Facebook", 0.15)))
   }
 
   test("unknown dataset name fails fast") {

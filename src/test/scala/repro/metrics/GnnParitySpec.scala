@@ -14,7 +14,7 @@ class GnnParitySpec extends SparkSpec {
 
   for (name <- Seq("Reddit", "ogbn-proteins"); model <- Seq(Gnn.SageLike, Gnn.ClusterGcnLike, Gnn.MlpOnly)) {
     test(s"$model on $name@0.25 matches the breeze implementation") {
-      val data = Datasets.gnn(spark, name, 0.25)
+      val data = Datasets.gnn(name, Datasets.get(spark, name, 0.25))
       val g = data.graph
       val d = data.features(0).length
       val test = Gnn.testFeatures(model, data)

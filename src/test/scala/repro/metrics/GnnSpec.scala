@@ -90,7 +90,7 @@ class GnnSpec extends SparkSpec {
 
   // ---- end-to-end ----
   test("SAGE-like GNN on the SBM dataset beats chance and MLP-only") {
-    val data = Datasets.gnn(spark, "Reddit", 0.25)
+    val data = Datasets.gnn("Reddit", Datasets.get(spark, "Reddit", 0.25))
     val g = data.graph
     val full = Gnn.run(Gnn.SageLike, g, data, Gnn.testFeatures(Gnn.SageLike, data))
     val mlp = Gnn.run(Gnn.MlpOnly, g, data, Gnn.testFeatures(Gnn.MlpOnly, data))
@@ -99,14 +99,14 @@ class GnnSpec extends SparkSpec {
   }
 
   test("binary proteins-like task yields AUROC above 0.5") {
-    val data = Datasets.gnn(spark, "ogbn-proteins", 0.25)
+    val data = Datasets.gnn("ogbn-proteins", Datasets.get(spark, "ogbn-proteins", 0.25))
     val g = data.graph
     val r = Gnn.run(Gnn.SageLike, g, data, Gnn.testFeatures(Gnn.SageLike, data))
     assert(r.auroc > 0.6, s"AUROC ${r.auroc}")
   }
 
   test("training on a sparsified graph, testing on full (paper §3.3.4)") {
-    val data = Datasets.gnn(spark, "Reddit", 0.25)
+    val data = Datasets.gnn("Reddit", Datasets.get(spark, "Reddit", 0.25))
     val g = data.graph
     val h = Sparsifiers.random(g, 0.5, 1)
     val r = Gnn.run(Gnn.SageLike, h, data, Gnn.testFeatures(Gnn.SageLike, data))
@@ -114,7 +114,7 @@ class GnnSpec extends SparkSpec {
   }
 
   test("ClusterGCN-like model runs end to end") {
-    val data = Datasets.gnn(spark, "Reddit", 0.25)
+    val data = Datasets.gnn("Reddit", Datasets.get(spark, "Reddit", 0.25))
     val g = data.graph
     val r = Gnn.run(Gnn.ClusterGcnLike, g, data, Gnn.testFeatures(Gnn.ClusterGcnLike, data))
     assert(r.accuracy > 1.0 / data.numClasses)
