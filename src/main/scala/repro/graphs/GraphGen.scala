@@ -66,7 +66,7 @@ object GraphGen {
     */
   def sbm(n: Int, k: Int, pIn: Double, pOut: Double, seed: Long): Set[(Int, Int)] = {
     val rng = new Random(seed)
-    val block = Array.tabulate(n)(_ * k / n)
+    val block = sbmBlocks(n, k)
     val edges = mutable.Set.empty[(Int, Int)]
     // enumerate pairs (u,v) u<v by skipping: index pairs lexicographically
     def sample(p: Double, accept: (Int, Int) => Boolean): Unit = {

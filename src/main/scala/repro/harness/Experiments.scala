@@ -67,7 +67,7 @@ object Experiments {
 
   final case class Config(scale: Double = 1.0, rhos: Seq[Double] = Seq(0.1, 0.3, 0.5, 0.7, 0.9), seeds: Int = 2) {
     require(seeds >= 1, s"seeds must be at least 1, got $seeds")
-    require(scale > 0, s"scale must be positive, got $scale")
+    Datasets.requireScale(scale)
   }
 
   /** A metric whose reference line is its own value on the full graph. */
