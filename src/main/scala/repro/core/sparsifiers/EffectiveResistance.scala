@@ -1,9 +1,8 @@
 package repro.core.sparsifiers
 
 import java.util.concurrent.ForkJoinPool
-import scala.collection.concurrent.TrieMap
 import scala.util.Random
-import repro.core.{DriverPool, GraphOps, PruneRateControl, SparkGraph, Sparsifier}
+import repro.core.{DriverPool, GraphOps, OnceCache, PruneRateControl, SparkGraph, Sparsifier}
 import repro.metrics.Csr
 
 /** Effective Resistance spectral sparsifier (§2.3.9, Spielman–Srivastava).
@@ -79,18 +78,18 @@ object EffectiveResistance {
     * cost the paper also amortises ("we do not include the computation time
     * of the effective resistance because it is a one-time cost", §4.6).
     */
-  private val cache = TrieMap.empty[SparkGraph.Fingerprint, ((Array[Int], Array[Int], Array[Double], Array[Double]), Int)]
+  private val cache = new OnceCache[SparkGraph.Fingerprint, ((Array[Int], Array[Int], Array[Double], Array[Double]), Int)]
 
   /** The graph's edges and their resistances. Throws if the dense tail of
     * the solve has more than `maxN` vertices, on a cache hit too.
     */
   def resistances(g: SparkGraph, maxN: Int): (Array[Int], Array[Int], Array[Double], Array[Double]) = {
-    val (edgesAndR, t) = cache.getOrElseUpdate(g.fingerprint, {
+    val (edgesAndR, t) = cache.getOrCompute(g.fingerprint) {
       require(!g.directed, "ER requires an undirected graph (symmetrize first)")
       val (src, dst, wt) = GraphOps.collectEdges(g)
       val (r, t) = solve(g.numVertices.toInt, src, dst, wt, DriverPool.shared, maxN, CallingThreadFlops)
       ((src, dst, wt, r), t)
-    })
+    }
     SparseElimination.requireTail(t, maxN)
     edgesAndR
   }

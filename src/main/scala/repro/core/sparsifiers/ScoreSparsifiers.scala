@@ -38,10 +38,14 @@ private[core] object EdgeRanking {
     * exponent log(rank)/log(deg). Rank 1 maps to 0, so each vertex's best
     * edge is always kept first (the ≥1-edge guarantee). `StrictMath` gives
     * the same bits on every JVM, so which exponents tie (ties are broken by
-    * (src, dst) downstream) does not depend on the platform.
+    * (src, dst) downstream) does not depend on the platform. The logs come
+    * from one table of `StrictMath.log(k)` for k up to the largest degree of
+    * `g`'s arcs view, so each call should rank arcs of `g`.
     */
-  val logExponent: (Int, Int) => Double =
-    (rank, deg) => if (rank == 1) 0.0 else StrictMath.log(rank) / StrictMath.log(deg)
+  def logExponent(g: SparkGraph): (Int, Int) => Double = {
+    val logs = Array.tabulate(Csr.fromGraph(g, symmetric = false).maxDegree + 1)(k => StrictMath.log(k))
+    (rank, deg) => if (rank == 1) 0.0 else logs(rank) / logs(deg)
+  }
 
   /** The `k` edges with the smallest `score` (indexed like
     * [[GraphOps.collectEdges]]), ties broken canonically by (src, dst) so
@@ -130,7 +134,7 @@ final class LocalDegree extends Sparsifier {
   /** Each edge's rank exponent by neighbour degree. */
   private[core] def exponents(g: SparkGraph): Array[Double] = {
     val c = Csr.fromGraph(g, symmetric = false)
-    EdgeRanking.rankArcs(g, (_, v, _) => c.degree(v), EdgeRanking.logExponent)
+    EdgeRanking.rankArcs(g, (_, v, _) => c.degree(v), EdgeRanking.logExponent(g))
   }
 }
 
@@ -145,7 +149,7 @@ final class LocalSimilarity extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val jaccard = SimilarityScores.forGraph(g).jaccard
-    EdgeRanking.keepSmallest(g, EdgeRanking.rankArcs(g, (_, _, e) => jaccard(e), EdgeRanking.logExponent),
+    EdgeRanking.keepSmallest(g, EdgeRanking.rankArcs(g, (_, _, e) => jaccard(e), EdgeRanking.logExponent(g)),
       keepCount(g.numEdges, rho), s"LSim-$rho")
   }
 }
@@ -162,7 +166,7 @@ final class LSpar extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val jaccard = SimilarityScores.forGraph(g).jaccard
-    val exps = EdgeRanking.rankArcs(g, (_, _, e) => jaccard(e), EdgeRanking.logExponent)
+    val exps = EdgeRanking.rankArcs(g, (_, _, e) => jaccard(e), EdgeRanking.logExponent(g))
     // grid of c values with step 0.02: edge kept iff minExp ≤ c
     EdgeRanking.keepCoarse(g, exps, x => math.ceil(x / 0.02), keepCount(g.numEdges, rho), s"LS-$rho")
   }

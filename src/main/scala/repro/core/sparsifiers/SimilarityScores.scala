@@ -1,8 +1,7 @@
 package repro.core.sparsifiers
 
-import repro.core.{GraphOps, SparkGraph}
+import repro.core.{GraphOps, OnceCache, SparkGraph}
 import repro.metrics.Csr
-import scala.collection.concurrent.TrieMap
 
 /** Per-edge similarity scores shared by G-Spar, L-Spar, Local Similarity and
   * SCAN — computed once per graph on the driver and cached (the scores do
@@ -21,10 +20,10 @@ final case class SimilarityScores(common: Array[Int], jaccard: Array[Double], sc
 
 object SimilarityScores {
 
-  private val cache = TrieMap.empty[SparkGraph.Fingerprint, SimilarityScores]
+  private val cache = new OnceCache[SparkGraph.Fingerprint, SimilarityScores]
 
   /** The scores of every edge of `g`. Cached by graph content. */
-  def forGraph(g: SparkGraph): SimilarityScores = cache.getOrElseUpdate(g.fingerprint, {
+  def forGraph(g: SparkGraph): SimilarityScores = cache.getOrCompute(g.fingerprint) {
     val (src, dst, _) = GraphOps.collectEdges(g)
     val c = Csr.fromGraph(g, symmetric = false)
     val m = src.length
@@ -56,7 +55,7 @@ object SimilarityScores {
       (common(e) + 1).toDouble / math.sqrt((c.degree(src(e)) + 1).toDouble * (c.degree(dst(e)) + 1))
     }
     SimilarityScores(common, jaccard, scan)
-  })
+  }
 
   /** Drop cached scores (tests that build many graphs call this). */
   def clear(): Unit = cache.clear()

@@ -1,9 +1,8 @@
 package repro.graphs
 
 import org.apache.spark.sql.SparkSession
-import scala.collection.concurrent.TrieMap
 import scala.util.Random
-import repro.core.{GraphOps, SparkGraph}
+import repro.core.{GraphOps, OnceCache, SparkGraph}
 
 /** A generator's output: the vertex count and the edge rows, in the order
   * [[GraphOps.fromArrays]] receives them. The canonicalize groupBy's output
@@ -133,16 +132,16 @@ object Datasets {
   def spec(name: String): DatasetSpec =
     specs.find(_.name == name).getOrElse(throw new NoSuchElementException(s"no dataset '$name'"))
 
-  private val cache = TrieMap.empty[(String, Double), SparkGraph]
+  private val cache = new OnceCache[(String, Double), SparkGraph]
 
   /** Build (or fetch cached) substitute graph for a Table 3 dataset. */
   def get(spark: SparkSession, name: String, scale: Double = 1.0): SparkGraph = {
     requireScale(scale)
     val sp = spec(name)
-    cache.getOrElseUpdate((name, scale), {
+    cache.getOrCompute((name, scale)) {
       val e = sp.generate(scale)
       GraphOps.fromArrays(spark, s"$name@$scale", e.src, e.dst, e.weight, sp.directed, sp.weighted, e.n.toLong)
-    })
+    }
   }
 
   /** GNN datasets: community-correlated Gaussian node features; labels are

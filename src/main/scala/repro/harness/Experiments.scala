@@ -120,8 +120,8 @@ object Experiments {
     Figure("4c", Seq(S.localDegree, S.rankDegree, S.gSpar, S.scan, S.localSimilarity, S.random), Seq(
       Panel("Fig 4c: approx diameter (ego-Facebook)", "ego-Facebook", onGraph(Distances.approxDiameter(_))))),
     Figure("5", Seq(S.localDegree, S.rankDegree, S.random, S.lSpar, S.gSpar, S.scan, S.forestFire), Seq(
-      Panel("Fig 5a: betweenness top-100 precision (com-DBLP)", "com-DBLP", topK(Centrality.betweenness)),
-      Panel("Fig 5b: closeness top-100 precision (ca-AstroPh)", "ca-AstroPh", topK(Centrality.closeness)))),
+      Panel("Fig 5a: betweenness top-100 precision (com-DBLP)", "com-DBLP", topK(Centrality.betweenness(_))),
+      Panel("Fig 5b: closeness top-100 precision (ca-AstroPh)", "ca-AstroPh", topK(Centrality.closeness(_))))),
     Figure("6", Seq(S.rankDegree, S.localDegree, S.random, S.forestFire, S.kNeighbor), Seq(
       Panel("Fig 6: eigenvector top-100 precision (email-Enron)", "email-Enron", topK(Centrality.eigenvector(_))))),
     Figure("7", Seq(S.random, S.kNeighbor, S.erUnweighted, S.localDegree, S.rankDegree, S.forestFire), Seq(

@@ -1,6 +1,7 @@
 package repro.metrics
 
-import repro.core.SparkGraph
+import java.util.concurrent.ForkJoinPool
+import repro.core.{DriverPool, SparkGraph}
 
 /** Centrality metrics (§2.2.3), PageRank (§2.2.5) and the top-k precision
   * evaluator (§3.3.3).
@@ -8,9 +9,11 @@ import repro.core.SparkGraph
   * Brandes betweenness is exact (our graphs are ~100× smaller than the
   * paper's, so exact is cheaper than the paper's 500-sample Geisberger
   * approximation and strictly more accurate). Closeness is exact BFS from
-  * every vertex. Eigenvector and Katz are power iterations; directed graphs
-  * use the left eigenvector (Table 1 footnote) — scores flow along edge
-  * direction u→v.
+  * every vertex. Both run their sources on a `DriverPool` pool (the
+  * trailing `pool`) in a fixed reduction order, so they give the same bits
+  * for every pool size. Eigenvector and Katz are power iterations;
+  * directed graphs use the left eigenvector (Table 1 footnote) — scores
+  * flow along edge direction u→v.
   */
 object Centrality {
 
@@ -20,17 +23,59 @@ object Centrality {
     * predecessor lists, the backward pass walks that order in reverse and
     * re-scans each row for neighbours one hop closer, so every δ term is
     * added in stack-pop order.
+    *
+    * Sources run in blocks of `Block` on `pool` (Bader & Madduri, ICPP
+    * 2006), each worker with its own σ, δ and dist; a source writes its δ
+    * into a row of its own, 0 at the source and at every vertex it does not
+    * reach. The blocks run in waves of `pool.getParallelism`, and after each
+    * wave the rows are added into `bc` in source order, so every bc(w) gets
+    * the additions of a one-source-at-a-time loop, in its order, for any
+    * pool size.
     */
-  def betweenness(g: SparkGraph): Array[Double] = {
+  def betweenness(g: SparkGraph, pool: ForkJoinPool = DriverPool.shared): Array[Double] = {
     val c = Csr.undirected(g)
-    val (off, nbrs) = (c.offsets, c.nbrs)
-    val bc = new Array[Double](c.n)
-    val sigma = new Array[Double](c.n)
-    val delta = new Array[Double](c.n)
-    val dist = Array.fill(c.n)(-1)
-    val order = new Array[Int](c.n)
-    var s = 0
-    while (s < c.n) {
+    val n = c.n
+    val bc = new Array[Double](n)
+    val blocks = (n + Block - 1) / Block
+    val wave = math.max(1, math.min(pool.getParallelism, blocks))
+    val rows = new Array[Double](Math.multiplyExact(wave * Block, n))
+    var first = 0 // the wave's first block
+    while (first < blocks) {
+      val inWave = math.min(wave, blocks - first)
+      DriverPool.forEachWith(pool, inWave)(new Brandes(c)) { (brandes, t) =>
+        val s0 = (first + t) * Block
+        var s = s0
+        while (s < math.min(s0 + Block, n)) { brandes.deltaRow(s, rows, ((s - s0) + t * Block) * n); s += 1 }
+      }
+      val sources = math.min(inWave * Block, n - first * Block)
+      var r = 0
+      while (r < sources) {
+        val base = r * n
+        var w = 0
+        while (w < n) { bc(w) += rows(base + w); w += 1 }
+        r += 1
+      }
+      first += inWave
+    }
+    bc
+  }
+
+  /** Sources per betweenness task. */
+  private val Block = 64
+
+  /** One worker's Brandes scratch: σ, δ, dist and the visit order. */
+  private final class Brandes(c: Csr) {
+    private val (off, nbrs) = (c.offsets, c.nbrs)
+    private val sigma = new Array[Double](c.n)
+    private val delta = new Array[Double](c.n)
+    private val dist = Array.fill(c.n)(-1)
+    private val order = new Array[Int](c.n)
+
+    /** Writes source s's dependency δ_s(w) into `row(at + w)` for every w:
+      * 0 at s and at every vertex s does not reach.
+      */
+    def deltaRow(s: Int, row: Array[Double], at: Int): Unit = {
+      java.util.Arrays.fill(row, at, at + c.n, 0.0)
       dist(s) = 0; sigma(s) = 1.0; order(0) = s
       var head = 0; var tail = 1
       while (head < tail) {
@@ -52,22 +97,24 @@ object Centrality {
           val dw = dist(w) - 1; val sw = sigma(w); val cw = 1.0 + delta(w); val end = off(w + 1)
           var i = off(w)
           while (i < end) { val u = nbrs(i); if (dist(u) == dw) delta(u) += sigma(u) / sw * cw; i += 1 }
-          bc(w) += delta(w)
+          row(at + w) = delta(w)
         }
         dist(w) = -1; sigma(w) = 0.0; delta(w) = 0.0 // w's successors are all popped: clear it for the next source
       }
-      s += 1
     }
-    bc
   }
 
-  /** Closeness C(v) = 1/Σ_u d(u,v) over vertices reachable from v. */
-  def closeness(g: SparkGraph): Array[Double] = {
+  /** Closeness C(v) = 1/Σ_u d(u,v) over vertices reachable from v. The
+    * source batches run on `pool`, each worker with its own
+    * `ShortestPaths`; each cl(v) is written once, by the batch that holds v.
+    */
+  def closeness(g: SparkGraph, pool: ForkJoinPool = DriverPool.shared): Array[Double] = {
     val c = Csr.fromGraph(g, symmetric = true)
-    val paths = new Csr.ShortestPaths(c, g.weighted)
     val sources = c.withArcs
     val cl = new Array[Double](c.n)
-    Csr.ShortestPaths.batches(sources.length) { (b, count) =>
+    val batch = Csr.ShortestPaths.Batch
+    DriverPool.forEachWith(pool, (sources.length + batch - 1) / batch)(new Csr.ShortestPaths(c, g.weighted)) { (paths, j) =>
+      val b = j * batch; val count = math.min(batch, sources.length - b)
       paths.from(sources, b, count)
       var k = 0
       while (k < count) {

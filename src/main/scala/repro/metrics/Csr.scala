@@ -158,7 +158,8 @@ object Csr {
       clearBfs()
       if (count > rows) {
         rows = count
-        if (weighted) wd = new Array[Double](rows * n) else hops = Array.fill(rows * n)(-1)
+        if (weighted) wd = new Array[Double](rows * n)
+        else { hops = new Array[Int](rows * n); java.util.Arrays.fill(hops, -1) }
       }
       this.count = count
       System.arraycopy(sources, offset, src, 0, count)
@@ -213,14 +214,9 @@ object Csr {
 
     /** Resets the rows and words that the previous batch wrote. */
     private def clearBfs(): Unit = {
+      if (reached > 0) java.util.Arrays.fill(hops, 0, count * n, -1)
       var i = 0
-      while (i < reached) {
-        val v = order(i)
-        seen(v) = 0L
-        var k = 0
-        while (k < count) { hops(k * n + v) = -1; k += 1 }
-        i += 1
-      }
+      while (i < reached) { seen(order(i)) = 0L; i += 1 }
       reached = 0
     }
 

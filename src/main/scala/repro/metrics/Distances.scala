@@ -1,12 +1,19 @@
 package repro.metrics
 
+import java.util.concurrent.ForkJoinPool
 import scala.util.Random
-import repro.core.SparkGraph
+import repro.core.{DriverPool, SparkGraph}
 
 /** Distance metrics (§2.2.2, measured per §3.3.2): sampled-pair shortest
   * paths (SPSP), sampled-source eccentricity, and the iterated double-sweep
   * approximate diameter. Pairs/sources are sampled within components of the
   * ORIGINAL graph ("we exclude pairs belonging to different communities").
+  *
+  * The stretch metrics run their source batches on a `DriverPool` pool (the
+  * trailing `pool`; see [[repro.core.DriverPool.forEachWith]]) and add the
+  * results up on the calling thread in draw order, so they give the same
+  * bits for every pool size. The approximate diameter is sequential: each
+  * sweep starts from the vertex the previous one found.
   */
 object Distances {
 
@@ -17,10 +24,9 @@ object Distances {
     * from the mean and reported as `unreachableFrac` (Fig 4a applies a
     * <20%-over-original acceptability constraint on that fraction).
     */
-  def spspStretch(orig: SparkGraph, spar: SparkGraph, nPairs: Int = 2000, seed: Long = 0): StretchResult = {
-    val co = Csr.fromGraph(orig, symmetric = true)
-    val cs = Csr.fromGraph(spar, symmetric = true)
-    val pairs = co.componentPairs
+  def spspStretch(orig: SparkGraph, spar: SparkGraph, nPairs: Int = 2000, seed: Long = 0,
+                  pool: ForkJoinPool = DriverPool.shared): StretchResult = {
+    val pairs = Csr.fromGraph(orig, symmetric = true).componentPairs
     if (pairs.isEmpty) return StretchResult(Double.NaN, 1.0, 0)
     val rng = new Random(seed)
 
@@ -38,24 +44,21 @@ object Distances {
       while (t < perSource) { vs(s * perSource + t) = compVs(rng.nextInt(compVs.size)); t += 1 }
       s += 1
     }
-    val dOrig = new Csr.ShortestPaths(co, orig.weighted)
-    val dSpar = new Csr.ShortestPaths(cs, spar.weighted)
+    // Each task writes one graph's distance for each pair of its batch.
+    val d = Array.ofDim[Double](2, vs.length)
+    onBatches(orig, spar, us, pool) { (gi, paths, b, count) =>
+      var i = b * perSource
+      while (i < (b + count) * perSource) { d(gi)(i) = paths(i / perSource - b, vs(i)); i += 1 }
+    }
+    val (dO, dS) = (d(0), d(1))
     var stretchSum = 0.0; var reached = 0; var lost = 0
-    Csr.ShortestPaths.batches(nSources) { (b, count) =>
-      dOrig.from(us, b, count); dSpar.from(us, b, count)
-      var k = 0
-      while (k < count) {
-        var i = (b + k) * perSource
-        while (i < (b + k + 1) * perSource) {
-          val v = vs(i)
-          if (v != us(b + k) && dOrig(k, v).isFinite && dOrig(k, v) > 0) {
-            if (dSpar(k, v).isFinite) { stretchSum += dSpar(k, v) / dOrig(k, v); reached += 1 }
-            else lost += 1
-          }
-          i += 1
-        }
-        k += 1
+    var i = 0
+    while (i < vs.length) {
+      if (vs(i) != us(i / perSource) && dO(i).isFinite && dO(i) > 0) {
+        if (dS(i).isFinite) { stretchSum += dS(i) / dO(i); reached += 1 }
+        else lost += 1
       }
+      i += 1
     }
     val tried = reached + lost
     StretchResult(
@@ -68,7 +71,8 @@ object Distances {
     * isolated in the sparsified graph are excluded and reported (Fig 4b's
     * vertex-isolated constraint).
     */
-  def eccentricityStretch(orig: SparkGraph, spar: SparkGraph, nSources: Int = 200, seed: Long = 0): StretchResult = {
+  def eccentricityStretch(orig: SparkGraph, spar: SparkGraph, nSources: Int = 200, seed: Long = 0,
+                          pool: ForkJoinPool = DriverPool.shared): StretchResult = {
     val co = Csr.fromGraph(orig, symmetric = true)
     val cs = Csr.fromGraph(spar, symmetric = true)
     val rng = new Random(seed)
@@ -77,20 +81,39 @@ object Distances {
     val drawn = Array.fill(nSources)(candidates(rng.nextInt(candidates.length)))
     val sources = drawn.filter(cs.degree(_) > 0)
     val isolated = nSources - sources.length
-    val dOrig = new Csr.ShortestPaths(co, orig.weighted)
-    val dSpar = new Csr.ShortestPaths(cs, spar.weighted)
-    var sum = 0.0; var used = 0
-    Csr.ShortestPaths.batches(sources.length) { (b, count) =>
-      dOrig.from(sources, b, count); dSpar.from(sources, b, count)
+    val ecc = Array.ofDim[Double](2, sources.length)
+    onBatches(orig, spar, sources, pool) { (gi, paths, b, count) =>
       var k = 0
-      while (k < count) {
-        val eo = dOrig.ecc(k)
-        if (eo > 0) { sum += dSpar.ecc(k) / eo; used += 1 }
-        k += 1
-      }
+      while (k < count) { ecc(gi)(b + k) = paths.ecc(k); k += 1 }
+    }
+    val (eo, es) = (ecc(0), ecc(1))
+    var sum = 0.0; var used = 0
+    var k = 0
+    while (k < sources.length) {
+      if (eo(k) > 0) { sum += es(k) / eo(k); used += 1 }
+      k += 1
     }
     StretchResult(if (used > 0) sum / used else Double.NaN,
       isolated.toDouble / nSources, used + isolated)
+  }
+
+  /** Runs `sources` in batches of up to `ShortestPaths.Batch` on `pool`,
+    * one task per batch and graph: task 2j runs batch j on the original
+    * graph (gi = 0), task 2j + 1 on the sparsified one (gi = 1). Each worker
+    * builds one `ShortestPaths` per graph, when it first runs a task on that
+    * graph. `f(gi, paths, offset, count)` reads the batch's rows and writes
+    * only the batch's own slots.
+    */
+  private def onBatches(orig: SparkGraph, spar: SparkGraph, sources: Array[Int], pool: ForkJoinPool)(
+      f: (Int, Csr.ShortestPaths, Int, Int) => Unit): Unit = {
+    val views = Array(orig, spar).map(g => (Csr.fromGraph(g, symmetric = true), g.weighted))
+    val batch = Csr.ShortestPaths.Batch
+    DriverPool.forEachWith(pool, 2 * ((sources.length + batch - 1) / batch))(
+      new Array[Csr.ShortestPaths](2)) { (paths, t) =>
+      val gi = t % 2; val b = t / 2 * batch; val count = math.min(batch, sources.length - b)
+      if (paths(gi) == null) paths(gi) = new Csr.ShortestPaths(views(gi)._1, views(gi)._2)
+      f(gi, paths(gi).from(sources, b, count), b, count)
+    }
   }
 
   /** Approximate diameter (§3.3.2): iterated double sweep — BFS to the
