@@ -29,10 +29,10 @@ final class SparkGraph private (
     private[core] val arrays: (Array[Int], Array[Int], Array[Double]),
     val directed: Boolean,
     val weighted: Boolean,
-    val numVertices: Long) {
+    val numVertices: Int) {
 
-  private lazy val bothCsr = Csr.fromArrays(numVertices.toInt, arrays._1, arrays._2, arrays._3, bothDirections = true)
-  private lazy val outCsr = Csr.fromArrays(numVertices.toInt, arrays._1, arrays._2, arrays._3, bothDirections = false)
+  private lazy val bothCsr = Csr.fromArrays(numVertices, arrays._1, arrays._2, arrays._3, bothDirections = true)
+  private lazy val outCsr = Csr.fromArrays(numVertices, arrays._1, arrays._2, arrays._3, bothDirections = false)
 
   /** The graph's driver CSR: every edge in both directions, or out-arcs only. */
   private[repro] def csr(bothDirections: Boolean): Csr = if (bothDirections) bothCsr else outCsr
@@ -46,7 +46,7 @@ final class SparkGraph private (
     if (!directed) this
     else {
       val (s, d, w) = arrays
-      val n = numVertices
+      val n = numVertices.toLong // a pair key min·n + max needs 64 bits
       val byPair = mutable.LongMap.empty[Double]
       var i = 0
       while (i < s.length) {
@@ -60,7 +60,7 @@ final class SparkGraph private (
     }
 
   /** Number of (canonical) edges. */
-  def numEdges: Long = arrays._1.length
+  def numEdges: Int = arrays._1.length
 
   /** Content identity: two graphs with equal fingerprints have the same
     * vertex count, direction and edge arrays (up to hash collisions).
@@ -74,7 +74,7 @@ final class SparkGraph private (
 
 object SparkGraph {
 
-  final case class Fingerprint(n: Long, m: Int, directed: Boolean, src: Int, dst: Int, weight: Int)
+  final case class Fingerprint(n: Int, m: Int, directed: Boolean, src: Int, dst: Int, weight: Int)
 
   /** A graph over driver arrays that are already canonical, such as a subset
     * of another graph's edges. The arrays are kept, not copied.
@@ -86,7 +86,7 @@ object SparkGraph {
       weight: Array[Double],
       directed: Boolean,
       weighted: Boolean,
-      numVertices: Long): SparkGraph =
+      numVertices: Int): SparkGraph =
     new SparkGraph(name, (src, dst, weight), directed, weighted, numVertices)
 }
 
@@ -137,7 +137,7 @@ object GraphOps {
       weight: Array[Double],
       directed: Boolean,
       weighted: Boolean,
-      numVertices: Long): SparkGraph = {
+      numVertices: Int): SparkGraph = {
     import spark.implicits._
     require(numVertices <= 2_000_000, s"graph $name too large for driver collection")
     val df = src.indices
@@ -162,7 +162,7 @@ object GraphOps {
       name: String,
       pairs: Seq[(Int, Int)],
       directed: Boolean,
-      numVertices: Long): SparkGraph =
+      numVertices: Int): SparkGraph =
     fromArrays(spark, name, pairs.map(_._1).toArray, pairs.map(_._2).toArray,
       Array.fill(pairs.length)(1.0), directed, weighted = false, numVertices)
 }

@@ -44,7 +44,7 @@ trait Sparsifier {
   }
 
   /** Target number of edges to keep for prune rate ρ over m edges. */
-  protected final def keepCount(m: Long, pruneRate: Double): Int =
+  protected final def keepCount(m: Int, pruneRate: Double): Int =
     math.max(1L, math.round((1.0 - pruneRate) * m)).toInt
 }
 

@@ -87,7 +87,7 @@ object EffectiveResistance {
     val (edgesAndR, t) = cache.getOrCompute(g.fingerprint) {
       require(!g.directed, "ER requires an undirected graph (symmetrize first)")
       val (src, dst, wt) = GraphOps.collectEdges(g)
-      val (r, t) = solve(g.numVertices.toInt, src, dst, wt, DriverPool.shared, maxN, CallingThreadFlops)
+      val (r, t) = solve(g.numVertices, src, dst, wt, DriverPool.shared, maxN, CallingThreadFlops)
       ((src, dst, wt, r), t)
     }
     SparseElimination.requireTail(t, maxN)

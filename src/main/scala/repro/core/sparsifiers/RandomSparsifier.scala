@@ -18,7 +18,7 @@ final class RandomSparsifier extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val rng = new RandomSparsifier.XorShift(seed)
-    val key = Array.fill(g.numEdges.toInt)(rng.nextDouble())
+    val key = Array.fill(g.numEdges)(rng.nextDouble())
     EdgeRanking.keepSmallest(g, key, keepCount(g.numEdges, rho), s"RN-$rho-$seed")
   }
 }

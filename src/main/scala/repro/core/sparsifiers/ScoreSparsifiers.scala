@@ -18,7 +18,7 @@ private[core] object EdgeRanking {
     */
   def rankArcs(g: SparkGraph, order: (Int, Int, Int) => Double, score: (Int, Int) => Double): Array[Double] = {
     val c = Csr.fromGraph(g, symmetric = false)
-    val best = Array.fill(g.numEdges.toInt)(Double.PositiveInfinity)
+    val best = Array.fill(g.numEdges)(Double.PositiveInfinity)
     for (u <- 0 until c.n) {
       val lo = c.offsets(u)
       val deg = c.offsets(u + 1) - lo

@@ -20,7 +20,7 @@ final class RankDegree extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val adj = Csr.fromGraph(g, symmetric = false)
-    val m = g.numEdges.toInt
+    val m = g.numEdges
     val target = keepCount(m, rho)
     val rng = new Random(seed)
     val kept = new BitSet(m)
@@ -80,7 +80,7 @@ final class ForestFire extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val adj = Csr.fromGraph(g, symmetric = false)
-    val m = g.numEdges.toInt
+    val m = g.numEdges
     val target = keepCount(m, rho)
     val rng = new Random(seed)
     val burns = new Array[Int](m)
@@ -138,7 +138,7 @@ final class SpanningForest extends Sparsifier {
 
   def sparsify(g: SparkGraph, rho: Double, seed: Long): SparkGraph = {
     val (src, dst, wt) = GraphOps.collectEdges(g)
-    val uf = new Csr.UnionFind(g.numVertices.toInt)
+    val uf = new Csr.UnionFind(g.numVertices)
     val kept = new BitSet(src.length)
     EdgeRanking.sortedEdges(wt, src, dst).foreach(e => if (uf.union(src(e), dst(e))) kept.set(e))
     GraphOps.subgraph(g, kept.stream().toArray, "SF")
@@ -147,7 +147,7 @@ final class SpanningForest extends Sparsifier {
 
 /** Greedy t-Spanner (§2.3.6, Althöfer et al.): scan edges in weight order;
   * add (u,v,w) iff the current spanner distance d_H(u,v) exceeds t·w
-  * (bounded Dijkstra). Guarantees d_H(u,v) ≤ t·d_G(u,v) for all pairs
+  * (one bounded `Csr.Dijkstra` search). Guarantees d_H(u,v) ≤ t·d_G(u,v) for all pairs
   * and preserves connectivity exactly. Prune rate is fixed by t.
   */
 final class TSpanner(val t: Int = 3) extends Sparsifier {
@@ -160,43 +160,18 @@ final class TSpanner(val t: Int = 3) extends Sparsifier {
     val (src, dst, wt) = GraphOps.collectEdges(g)
     val c = Csr.fromGraph(g)
     // The growing spanner H, laid out on G's CSR: u's H-arcs fill the row
-    // prefix offsets(u) until hEnd(u). H ⊆ G, so a row cannot overflow.
+    // prefix offsets(u) until hEnd(u + 1), as G's row ends at offsets(u + 1).
+    // H ⊆ G, so a row cannot overflow.
     val hNbr = new Array[Int](c.nbrs.length)
     val hWt = new Array[Double](c.nbrs.length)
-    val hEnd = c.offsets.clone()
-    def addArc(u: Int, v: Int, w: Double): Unit = { hNbr(hEnd(u)) = v; hWt(hEnd(u)) = w; hEnd(u) += 1 }
+    val hEnd = 0 +: c.offsets.init
+    def addArc(u: Int, v: Int, w: Double): Unit = { hNbr(hEnd(u + 1)) = v; hWt(hEnd(u + 1)) = w; hEnd(u + 1) += 1 }
     val kept = new BitSet(src.length)
-    val dist = new Array[Double](c.n)
-    val stamp = new Array[Int](c.n)
-    var curStamp = 0
-
-    /** Bounded Dijkstra from s in the current spanner; true if d(s,v) ≤ cut. */
-    def within(s: Int, v: Int, cut: Double): Boolean = {
-      curStamp += 1
-      val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by(-_._1))
-      dist(s) = 0.0; stamp(s) = curStamp; pq.enqueue((0.0, s))
-      while (pq.nonEmpty) {
-        val (d, u) = pq.dequeue()
-        if (u == v) return true
-        if (stamp(u) == curStamp && d <= dist(u) + 1e-12) {
-          var a = c.offsets(u)
-          while (a < hEnd(u)) {
-            val x = hNbr(a)
-            val nd = d + hWt(a)
-            if (nd <= cut && (stamp(x) != curStamp || nd < dist(x))) {
-              dist(x) = nd; stamp(x) = curStamp; pq.enqueue((nd, x))
-            }
-            a += 1
-          }
-        }
-      }
-      false
-    }
-
+    val dijkstra = new Csr.Dijkstra(c.n)
     val order = EdgeRanking.sortedEdges(wt, src, dst)
     order.foreach { e =>
       val (u, v, w) = (src(e), dst(e), wt(e))
-      if (!within(u, v, t * w)) {
+      if (!dijkstra.search(c.offsets, hEnd, hNbr, hWt, u, t * w, v)) {
         kept.set(e)
         addArc(u, v, w); addArc(v, u, w)
       }

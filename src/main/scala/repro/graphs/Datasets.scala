@@ -140,7 +140,7 @@ object Datasets {
     val sp = spec(name)
     cache.getOrCompute((name, scale)) {
       val e = sp.generate(scale)
-      GraphOps.fromArrays(spark, s"$name@$scale", e.src, e.dst, e.weight, sp.directed, sp.weighted, e.n.toLong)
+      GraphOps.fromArrays(spark, s"$name@$scale", e.src, e.dst, e.weight, sp.directed, sp.weighted, e.n)
     }
   }
 
@@ -151,7 +151,7 @@ object Datasets {
   def gnn(name: String, g: SparkGraph): GnnData = {
     val Blocks(k, seed) = spec(name).blocks.getOrElse(throw new IllegalArgumentException(s"not a GNN dataset: $name"))
     val dim = 16
-    val n = g.numVertices.toInt
+    val n = g.numVertices
     val blocks = GraphGen.sbmBlocks(n, k)
     val rng = new Random(seed + 7)
     val centroids = Array.fill(k, dim)(rng.nextGaussian() * 1.0)

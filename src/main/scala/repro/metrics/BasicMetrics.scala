@@ -95,7 +95,7 @@ object QuadraticForm {
     */
   def meanRatio(orig: SparkGraph, spar: SparkGraph, nVectors: Int = 100, seed: Long = 0): Double = {
     val rng = new Random(seed)
-    val n = orig.numVertices.toInt
+    val n = orig.numVertices
     val xs = Array.fill(nVectors)(Array.fill(n)(rng.nextGaussian()))
     val qo = qfDriver(orig, xs)
     val qs = qfDriver(spar, xs)

@@ -105,17 +105,14 @@ object Centrality {
   }
 
   /** Closeness C(v) = 1/Σ_u d(u,v) over vertices reachable from v. The
-    * source batches run on `pool`, each worker with its own
-    * `ShortestPaths`; each cl(v) is written once, by the batch that holds v.
+    * source batches run on `pool` ([[Csr.ShortestPaths.onBatches]]); each
+    * cl(v) is written once, by the batch that holds v.
     */
   def closeness(g: SparkGraph, pool: ForkJoinPool = DriverPool.shared): Array[Double] = {
     val c = Csr.fromGraph(g, symmetric = true)
     val sources = c.withArcs
     val cl = new Array[Double](c.n)
-    val batch = Csr.ShortestPaths.Batch
-    DriverPool.forEachWith(pool, (sources.length + batch - 1) / batch)(new Csr.ShortestPaths(c, g.weighted)) { (paths, j) =>
-      val b = j * batch; val count = math.min(batch, sources.length - b)
-      paths.from(sources, b, count)
+    Csr.ShortestPaths.onBatches(Seq(g), sources, pool) { (_, paths, b, count) =>
       var k = 0
       while (k < count) {
         val sum = paths.sum(k)

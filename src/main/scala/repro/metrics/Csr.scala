@@ -1,8 +1,9 @@
 package repro.metrics
 
+import java.util.concurrent.ForkJoinPool
 import scala.collection.mutable
 import scala.util.Random
-import repro.core.SparkGraph
+import repro.core.{DriverPool, SparkGraph}
 
 /** Immutable CSR adjacency on the driver — the one substrate for the
   * sequential sparsifiers (Rank Degree, Forest Fire, t-Spanner) and every
@@ -10,7 +11,8 @@ import repro.core.SparkGraph
   * power iterations, Louvain, max-flow). Graphs in this repro are ≤ ~10⁵ edges
   * (DESIGN.md), so collected arrays are the right tool. The metrics read
   * distances through one path, `ShortestPaths`: batches of up to 64 sources
-  * by bit-parallel BFS, or Dijkstra per source on weighted graphs.
+  * by bit-parallel BFS, or one `Dijkstra` per source on weighted graphs,
+  * the same bounded search the t-Spanner runs on its growing spanner.
   * Components come from one `UnionFind`, once per view. Seeded and ranked
   * passes share `Csr.shuffle`, `Csr.sortedIndices` and each view's
   * `withArcs`.
@@ -34,22 +36,6 @@ final class Csr(
   @inline def foreachNbr(v: Int)(f: (Int, Double) => Unit): Unit = {
     var i = offsets(v)
     while (i < offsets(v + 1)) { f(nbrs(i), wts(i)); i += 1 }
-  }
-
-  /** Weighted distances from `s` into `dist(off until off + n)`; Infinity = unreachable. */
-  def dijkstra(s: Int, dist: Array[Double], off: Int): Unit = {
-    java.util.Arrays.fill(dist, off, off + n, Double.PositiveInfinity)
-    dist(off + s) = 0.0
-    val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by(-_._1))
-    pq.enqueue((0.0, s))
-    while (pq.nonEmpty) {
-      val (d, u) = pq.dequeue()
-      if (d <= dist(off + u) + 1e-12) {
-        foreachNbr(u) { (v, w) =>
-          if (d + w < dist(off + v)) { dist(off + v) = d + w; pq.enqueue((d + w, v)) }
-        }
-      }
-    }
   }
 
   /** Component labels of this view (weak components of a directed one), numbered
@@ -124,6 +110,41 @@ object Csr {
     }
   }
 
+  /** One worker's Dijkstra scratch over 0 until n: stamped distances and a heap. */
+  final class Dijkstra(n: Int) {
+    private val dist = new Array[Double](n)
+    private val stamp = new Array[Int](n)
+    private var now = 0 // the current search's stamp
+    private val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by(-_._1))
+
+    /** Dijkstra from `s` over the rows `starts(u) until ends(u + 1)` of
+      * `nbrs` and `wts` (a CSR passes its offsets as both), reaching only
+      * distances ≤ `cut`; true when it pops `target` (−1: search all).
+      */
+    def search(starts: Array[Int], ends: Array[Int], nbrs: Array[Int], wts: Array[Double],
+               s: Int, cut: Double, target: Int): Boolean = {
+      now += 1
+      pq.clear()
+      dist(s) = 0.0; stamp(s) = now; pq.enqueue((0.0, s))
+      while (pq.nonEmpty) {
+        val (d, u) = pq.dequeue()
+        if (u == target) return true
+        if (d <= dist(u) + 1e-12) {
+          var a = starts(u); val end = ends(u + 1)
+          while (a < end) {
+            val x = nbrs(a); val nd = d + wts(a)
+            if (nd <= cut && (stamp(x) != now || nd < dist(x))) { dist(x) = nd; stamp(x) = now; pq.enqueue((nd, x)) }
+            a += 1
+          }
+        }
+      }
+      false
+    }
+
+    /** The last search's distance to `v`; Infinity = not reached. */
+    def apply(v: Int): Double = if (stamp(v) == now) dist(v) else Double.PositiveInfinity
+  }
+
   /** Shortest-path distances from a batch of up to `Batch` sources; row k
     * holds the distances from `sources(offset + k)`.
     *
@@ -133,7 +154,8 @@ object Csr {
     * source k, so one scan of an arc advances every source whose frontier
     * holds its tail. Each level visits only the vertices whose frontier word
     * is non-zero, so a batch of one costs what a single BFS costs. Weighted
-    * graphs run `dijkstra` once per source into the same rows.
+    * graphs run one full `Dijkstra` search per source and copy it into the
+    * source's row.
     */
   final class ShortestPaths(c: Csr, weighted: Boolean) {
     import ShortestPaths.Batch
@@ -151,6 +173,7 @@ object Csr {
     private val order = new Array[Int](n)
     private var reached = 0
     private val levelA, levelB = new Array[Int](n) // this level's and the next level's vertices
+    private lazy val dijkstra = new Dijkstra(n)
 
     /** Distances from `sources(offset until offset + count)`, count ≤ `Batch`. */
     def from(sources: Array[Int], offset: Int, count: Int): this.type = {
@@ -166,9 +189,9 @@ object Csr {
       if (weighted) {
         var k = 0
         while (k < count) {
-          c.dijkstra(src(k), wd, k * n)
+          dijkstra.search(c.offsets, c.offsets, c.nbrs, c.wts, src(k), Double.PositiveInfinity, -1)
           var e = 0.0; var v = 0
-          while (v < n) { val d = wd(k * n + v); if (d.isFinite && d > e) e = d; v += 1 }
+          while (v < n) { val d = dijkstra(v); wd(k * n + v) = d; if (d.isFinite && d > e) e = d; v += 1 }
           eccs(k) = e
           k += 1
         }
@@ -277,6 +300,22 @@ object Csr {
     def batches(total: Int)(f: (Int, Int) => Unit): Unit = {
       var b = 0
       while (b < total) { val k = math.min(Batch, total - b); f(b, k); b += k }
+    }
+
+    /** Runs `sources` in batches on `pool`, one task per batch and graph
+      * (symmetric view): of k graphs, task i·k + gi runs batch i on
+      * `graphs(gi)`. A worker builds a graph's `ShortestPaths` on its first
+      * task there. `f(gi, paths, offset, count)` writes only its batch's slots.
+      */
+    def onBatches(graphs: Seq[SparkGraph], sources: Array[Int], pool: ForkJoinPool)(
+        f: (Int, ShortestPaths, Int, Int) => Unit): Unit = {
+      val views = graphs.map(g => (fromGraph(g, symmetric = true), g.weighted)).toArray
+      val k = views.length
+      DriverPool.forEachWith(pool, k * ((sources.length + Batch - 1) / Batch))(new Array[ShortestPaths](k)) { (paths, t) =>
+        val gi = t % k; val b = t / k * Batch; val count = math.min(Batch, sources.length - b)
+        if (paths(gi) == null) paths(gi) = new ShortestPaths(views(gi)._1, views(gi)._2)
+        f(gi, paths(gi).from(sources, b, count), b, count)
+      }
     }
   }
 

@@ -10,7 +10,7 @@ import repro.core.{DriverPool, SparkGraph}
   * ORIGINAL graph ("we exclude pairs belonging to different communities").
   *
   * The stretch metrics run their source batches on a `DriverPool` pool (the
-  * trailing `pool`; see [[repro.core.DriverPool.forEachWith]]) and add the
+  * trailing `pool`; see [[Csr.ShortestPaths.onBatches]]) and add the
   * results up on the calling thread in draw order, so they give the same
   * bits for every pool size. The approximate diameter is sequential: each
   * sweep starts from the vertex the previous one found.
@@ -46,7 +46,7 @@ object Distances {
     }
     // Each task writes one graph's distance for each pair of its batch.
     val d = Array.ofDim[Double](2, vs.length)
-    onBatches(orig, spar, us, pool) { (gi, paths, b, count) =>
+    Csr.ShortestPaths.onBatches(Seq(orig, spar), us, pool) { (gi, paths, b, count) =>
       var i = b * perSource
       while (i < (b + count) * perSource) { d(gi)(i) = paths(i / perSource - b, vs(i)); i += 1 }
     }
@@ -82,7 +82,7 @@ object Distances {
     val sources = drawn.filter(cs.degree(_) > 0)
     val isolated = nSources - sources.length
     val ecc = Array.ofDim[Double](2, sources.length)
-    onBatches(orig, spar, sources, pool) { (gi, paths, b, count) =>
+    Csr.ShortestPaths.onBatches(Seq(orig, spar), sources, pool) { (gi, paths, b, count) =>
       var k = 0
       while (k < count) { ecc(gi)(b + k) = paths.ecc(k); k += 1 }
     }
@@ -95,25 +95,6 @@ object Distances {
     }
     StretchResult(if (used > 0) sum / used else Double.NaN,
       isolated.toDouble / nSources, used + isolated)
-  }
-
-  /** Runs `sources` in batches of up to `ShortestPaths.Batch` on `pool`,
-    * one task per batch and graph: task 2j runs batch j on the original
-    * graph (gi = 0), task 2j + 1 on the sparsified one (gi = 1). Each worker
-    * builds one `ShortestPaths` per graph, when it first runs a task on that
-    * graph. `f(gi, paths, offset, count)` reads the batch's rows and writes
-    * only the batch's own slots.
-    */
-  private def onBatches(orig: SparkGraph, spar: SparkGraph, sources: Array[Int], pool: ForkJoinPool)(
-      f: (Int, Csr.ShortestPaths, Int, Int) => Unit): Unit = {
-    val views = Array(orig, spar).map(g => (Csr.fromGraph(g, symmetric = true), g.weighted))
-    val batch = Csr.ShortestPaths.Batch
-    DriverPool.forEachWith(pool, 2 * ((sources.length + batch - 1) / batch))(
-      new Array[Csr.ShortestPaths](2)) { (paths, t) =>
-      val gi = t % 2; val b = t / 2 * batch; val count = math.min(batch, sources.length - b)
-      if (paths(gi) == null) paths(gi) = new Csr.ShortestPaths(views(gi)._1, views(gi)._2)
-      f(gi, paths(gi).from(sources, b, count), b, count)
-    }
   }
 
   /** Approximate diameter (§3.3.2): iterated double sweep — BFS to the
