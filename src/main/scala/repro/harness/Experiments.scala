@@ -110,7 +110,7 @@ object Experiments {
         against(0.0)(DegreeDistribution.distance)))),
     Figure("3", Seq(S.erWeighted, S.erUnweighted, S.random, S.localDegree, S.gSpar), Seq(
       Panel("Fig 3: Laplacian quadratic form ratio (com-Amazon)", "com-Amazon",
-        against(1.0)(QuadraticForm.meanRatio(_, _, nVectors = 100))))),
+        g => Scorer(QuadraticForm.ratioTo(g, nVectors = 100), Some(1.0))))),
     Figure("4ab", Seq(S.localDegree, S.rankDegree, S.lSpar, S.erUnweighted, S.forestFire,
       S.kNeighbor, S.gSpar, S.scan, S.random, S.spanningForest, S.tSpanner), Seq(
       Panel("Fig 4a: SPSP mean stretch factor (ca-AstroPh)", "ca-AstroPh",

@@ -168,11 +168,12 @@ object Csr {
     private val eccs = new Array[Double](Batch)
     private val one = new Array[Int](1)
     // The BFS words: all zero between batches, except `seen` on the vertices
-    // that some source reached, `order(0 until reached)`.
-    private val seen, frontier, next = new Array[Long](n)
-    private val order = new Array[Int](n)
+    // that some source reached, `order(0 until reached)`. Empty when weighted.
+    private val bfsN = if (weighted) 0 else n
+    private val seen, frontier, next = new Array[Long](bfsN)
+    private val order = new Array[Int](bfsN)
     private var reached = 0
-    private val levelA, levelB = new Array[Int](n) // this level's and the next level's vertices
+    private val levelA, levelB = new Array[Int](bfsN) // this level's and the next level's vertices
     private lazy val dijkstra = new Dijkstra(n)
 
     /** Distances from `sources(offset until offset + count)`, count ≤ `Batch`. */
@@ -295,12 +296,6 @@ object Csr {
 
     /** Sources per batch: one bit of a `Long` each. */
     val Batch = 64
-
-    /** Calls `f(offset, count)` for each batch of `total` sources, in order. */
-    def batches(total: Int)(f: (Int, Int) => Unit): Unit = {
-      var b = 0
-      while (b < total) { val k = math.min(Batch, total - b); f(b, k); b += k }
-    }
 
     /** Runs `sources` in batches on `pool`, one task per batch and graph
       * (symmetric view): of k graphs, task i·k + gi runs batch i on

@@ -56,7 +56,7 @@ class DijkstraParitySpec extends SparkSpec {
       val sources = Array.fill(total)(rng.nextInt(n))
       val paths = new Csr.ShortestPaths(c, weighted = true)
       val row = new Array[Double](n)
-      Csr.ShortestPaths.batches(total) { (b, count) =>
+      SequentialTraversals.batches(total) { (b, count) =>
         paths.from(sources, b, count)
         for (k <- 0 until count) {
           RowDijkstra.run(c, sources(b + k), row, 0)

@@ -12,6 +12,12 @@ import repro.metrics.Distances.StretchResult
   */
 object SequentialTraversals {
 
+  /** Calls `f(offset, count)` for each batch of `total` sources, in order. */
+  def batches(total: Int)(f: (Int, Int) => Unit): Unit = {
+    var b = 0
+    while (b < total) { val k = math.min(Csr.ShortestPaths.Batch, total - b); f(b, k); b += k }
+  }
+
   /** Brandes, one source at a time, each δ(w) added into bc(w) as it pops. */
   def betweenness(g: SparkGraph): Array[Double] = {
     val c = Csr.undirected(g)
@@ -58,7 +64,7 @@ object SequentialTraversals {
     val paths = new Csr.ShortestPaths(c, g.weighted)
     val sources = c.withArcs
     val cl = new Array[Double](c.n)
-    Csr.ShortestPaths.batches(sources.length) { (b, count) =>
+    batches(sources.length) { (b, count) =>
       paths.from(sources, b, count)
       var k = 0
       while (k < count) {
@@ -91,7 +97,7 @@ object SequentialTraversals {
     val dOrig = new Csr.ShortestPaths(co, orig.weighted)
     val dSpar = new Csr.ShortestPaths(cs, spar.weighted)
     var stretchSum = 0.0; var reached = 0; var lost = 0
-    Csr.ShortestPaths.batches(nSources) { (b, count) =>
+    batches(nSources) { (b, count) =>
       dOrig.from(us, b, count); dSpar.from(us, b, count)
       var k = 0
       while (k < count) {
@@ -126,7 +132,7 @@ object SequentialTraversals {
     val dOrig = new Csr.ShortestPaths(co, orig.weighted)
     val dSpar = new Csr.ShortestPaths(cs, spar.weighted)
     var sum = 0.0; var used = 0
-    Csr.ShortestPaths.batches(sources.length) { (b, count) =>
+    batches(sources.length) { (b, count) =>
       dOrig.from(sources, b, count); dSpar.from(sources, b, count)
       var k = 0
       while (k < count) {

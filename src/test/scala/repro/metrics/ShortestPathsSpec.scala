@@ -52,7 +52,7 @@ class ShortestPathsSpec extends SparkSpec {
   /** Runs `sources` in batches and checks every row and eccentricity. */
   private def checkBatches(c: Csr, weighted: Boolean, sources: Array[Int]): Unit = {
     val paths = new Csr.ShortestPaths(c, weighted)
-    Csr.ShortestPaths.batches(sources.length) { (b, count) =>
+    SequentialTraversals.batches(sources.length) { (b, count) =>
       assert(count <= Csr.ShortestPaths.Batch)
       paths.from(sources, b, count)
       (0 until count).foreach { k =>
